@@ -176,10 +176,9 @@ def _core_violations(match: MatchKey, action: RuleAction) -> list[str]:
     return problems
 
 
-def validate_rule(rule: DacsRule) -> list[str]:
-    """Name every violated invariant; an empty list means the rule is valid."""
+def subject_violations(subject: Subject) -> list[str]:
+    """Name every violated invariant of a rule subject (user name or client IP)."""
     problems: list[str] = []
-    subject = rule.subject
     if isinstance(subject, User):
         name = subject.name
         if not name:
@@ -196,7 +195,12 @@ def validate_rule(rule: DacsRule) -> list[str]:
             problems.append("client ip is not a dotted-quad IPv4 literal")
     else:
         problems.append("unknown subject kind")
-    return problems + _core_violations(rule.match, rule.action)
+    return problems
+
+
+def validate_rule(rule: DacsRule) -> list[str]:
+    """Name every violated invariant; an empty list means the rule is valid."""
+    return subject_violations(rule.subject) + _core_violations(rule.match, rule.action)
 
 
 def format_match(key: MatchKey) -> str:

@@ -18,6 +18,7 @@ from .rules import (
     Client,
     DacsRule,
     DuplicateMatchKey,
+    MatchKey,
     PriorityPolicy,
     RuleSet,
     RuleSyntaxError,
@@ -25,7 +26,7 @@ from .rules import (
     format_rule,
     merge_rules,
     parse_rule,
-    validate_rule,
+    subject_violations,
 )
 from .util import close_listener, format_hostport, parse_hostport, setup_logging
 from .wire import Ack, ErrorMsg, Login, MessageStream, PushNotice, RuleSetMsg, WireError
@@ -67,13 +68,20 @@ def _check_group_name(name: str, lineno: int) -> str:
 
 
 def load_repository(path) -> Repository:
-    """Parse and fully validate a repository file; any violation aborts."""
+    """Parse and fully validate a repository file; any violation aborts.
+
+    Linear in the file: a rule section's subject is checked once, on its
+    first rule line, and duplicate match keys are found through one set per
+    (kind, name), which also spans a header repeated later in the file.
+    """
     text = Path(path).read_text(encoding="utf-8")
     policy: PriorityPolicy | None = None
     user_rules: dict[str, list[DacsRule]] = {}
     client_rules: dict[str, list[DacsRule]] = {}
     groups: dict[str, list[str]] = {}
     section: tuple | None = None
+    seen_keys: dict[tuple, set[MatchKey]] = {}
+    subject = None  # the current rule section's subject, once checked
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -91,6 +99,7 @@ def load_repository(path) -> Repository:
                 section = ("client", header[7:].strip())
             else:
                 raise RepoParseError(lineno, f"unknown section {line!r}")
+            subject = None
             continue
         if section is None:
             raise RepoParseError(lineno, "content before any section header")
@@ -110,23 +119,25 @@ def load_repository(path) -> Repository:
                 rule = parse_rule(line)
             except RuleSyntaxError as exc:
                 raise RepoParseError(lineno, str(exc)) from None
-            subject = User(section[1]) if section[0] == "user" else Client(section[1])
-            entry = DacsRule(subject, rule.match, rule.action)
-            problems = validate_rule(entry)
-            if problems:
-                raise InvariantViolation(f"line {lineno}: " + "; ".join(problems))
-            bucket = user_rules if section[0] == "user" else client_rules
-            entries = bucket.setdefault(section[1], [])
-            if any(e.match == entry.match for e in entries):
+            if subject is None:
+                subject = User(section[1]) if section[0] == "user" else Client(section[1])
+                problems = subject_violations(subject)
+                if problems:
+                    raise InvariantViolation(f"line {lineno}: " + "; ".join(problems))
+                bucket = user_rules if section[0] == "user" else client_rules
+                entries = bucket.setdefault(section[1], [])
+                seen = seen_keys.setdefault(section, set())
+            if rule.match in seen:
                 raise InvariantViolation(
                     f"line {lineno}: duplicate match key for {section[0]} {section[1]}"
                 )
-            entries.append(entry)
+            seen.add(rule.match)
+            entries.append(DacsRule(subject, rule.match, rule.action))
         else:  # groups
             name, sep, value = line.partition("=")
             if not sep:
                 raise RepoParseError(lineno, f"expected user=group[,group...], got {line!r}")
-            if not name or any(c.isspace() for c in name) or "|" in name:
+            if subject_violations(User(name)):
                 raise InvariantViolation(f"line {lineno}: bad user name {name!r}")
             if name in groups:
                 raise InvariantViolation(f"line {lineno}: groups for {name!r} set twice")
@@ -262,12 +273,21 @@ class DacsServer:
                 pass
             stream.close()
             return
-        conn.settimeout(None)
+        except OSError as exc:
+            log.warning("login of %s from %s failed: %s", msg.user, msg.client_ip, exc)
+            return
+        try:
+            conn.settimeout(None)
+        except OSError:  # already closed: superseded, dropped or stopped
+            return
         self._session_read_loop(session)
 
     def handle_login(self, user: str, client_ip: str, stream: MessageStream) -> _Session:
         """Register the session (superseding any older one for the same IP),
-        send the merged rule set, then notify the web tier of the identity."""
+        send the merged rule set, then notify the web tier of the identity.
+
+        If the rule set cannot be sent, the session is dropped and the
+        OSError propagates."""
         session = _Session(user, client_ip, stream)
         with self._lock:
             version = self._next_version()
@@ -278,8 +298,12 @@ class DacsServer:
         if old is not None:
             log.info("session for %s superseded by %s", client_ip, user)
             old.close()
-        with session.send_lock:
-            stream.send(RuleSetMsg(ruleset.version, tuple(format_rule(r) for r in ruleset.rules)))
+        try:
+            with session.send_lock:
+                stream.send(RuleSetMsg(ruleset.version, tuple(format_rule(r) for r in ruleset.rules)))
+        except OSError:
+            self._drop_session(session)
+            raise
         session.delivered_version = ruleset.version
         log.info("login %s from %s: %d rules, version %d",
                  user, client_ip, len(ruleset.rules), ruleset.version)
@@ -299,6 +323,10 @@ class DacsServer:
                 log.debug("ack version %d from %s", msg.ref_version, session.client_ip)
             else:
                 log.warning("unexpected %s from %s", type(msg).__name__, session.client_ip)
+        self._drop_session(session)
+
+    def _drop_session(self, session: _Session) -> None:
+        """Unregister the session unless a newer one replaced it; close it."""
         with self._lock:
             if self._sessions.get(session.client_ip) is session:
                 del self._sessions[session.client_ip]
@@ -322,8 +350,8 @@ class DacsServer:
         """Reload the repository and redistribute to every session.
 
         Reload is atomic: a bad file raises ReloadError and the old
-        repository stays active with nothing sent. Per-session send failures
-        are logged and skipped.
+        repository stays active with nothing sent. A session whose send fails
+        is logged, dropped and closed.
         """
         with self._push_lock:
             try:
@@ -349,6 +377,7 @@ class DacsServer:
                     sent += 1
                 except OSError as exc:
                     log.warning("push to %s failed: %s", session.client_ip, exc)
+                    self._drop_session(session)
             log.info("pushed to %d of %d sessions", sent, len(plans))
             return sent
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import spawn_cli
+from dacs import rules
 from dacs.agent import DacsAgent
 from dacs.rules import (
     Block,
@@ -28,6 +29,7 @@ from dacs.server import (
     push_command,
 )
 from dacs.web import IdentityRegistry, VHostServer
+from dacs.wire import Login, MessageStream, encode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,7 +100,44 @@ def test_duplicate_match_key_in_one_section_rejected(tmp_path):
     text = MINIMAL + "rewrite|wwwserver:80|127.0.0.1:4000\n"
     with pytest.raises(InvariantViolation) as err:
         load_repository(write(tmp_path, text))
-    assert "duplicate match key" in str(err.value)
+    assert str(err.value).startswith("line 5: duplicate match key for user userA")
+
+
+def test_duplicate_match_key_under_repeated_header_rejected(tmp_path):
+    text = MINIMAL + "[groups]\n[user userA]\nblock|*:25\nrewrite|wwwserver:80|127.0.0.1:4000\n"
+    with pytest.raises(InvariantViolation) as err:
+        load_repository(write(tmp_path, text))
+    assert str(err.value).startswith("line 8: duplicate match key for user userA")
+
+
+def test_bad_client_ip_reported_at_first_rule_line(tmp_path):
+    text = "[policy]\npriority=user\n[client 300.1.1.1]\n# note\n\nblock|*:25\nblock|*:26\n"
+    with pytest.raises(InvariantViolation) as err:
+        load_repository(write(tmp_path, text))
+    assert str(err.value).startswith("line 6: client ip is not")
+
+
+@pytest.mark.parametrize("sections, rules_each", [(4, 50), (1, 20000)])
+def test_load_checks_each_rule_once_and_each_subject_once(
+    tmp_path, monkeypatch, sections, rules_each
+):
+    calls = {"core": 0, "ipv4": 0}
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(rules, "_core_violations", counting("core", rules._core_violations))
+    monkeypatch.setattr(rules, "is_ipv4", counting("ipv4", rules.is_ipv4))
+    lines = ["[policy]", "priority=client"]
+    for k in range(sections):
+        lines.append(f"[client 10.0.0.{k + 1}]")
+        lines += [f"block|h{i}.example:80" for i in range(rules_each)]
+    repo = load_repository(write(tmp_path, "\n".join(lines) + "\n"))
+    assert [len(r) for r in repo.client_rules.values()] == [rules_each] * sections
+    assert calls == {"core": sections * rules_each, "ipv4": sections}
 
 
 @pytest.mark.parametrize(
@@ -132,6 +171,56 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
 def test_invariant_violations(tmp_path, text):
     with pytest.raises(InvariantViolation):
         load_repository(write(tmp_path, text))
+
+
+def test_failed_login_send_drops_the_session(tmp_path):
+    server = DacsServer(write(tmp_path, MINIMAL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    ours, peer = socket.socketpair()
+    peer.close()
+    try:
+        with pytest.raises(OSError):
+            server.handle_login("u", "192.168.10.9", MessageStream(ours))
+        assert server.session_table() == {}
+        assert ours.fileno() == -1
+    finally:
+        server.stop()
+
+
+def test_failed_push_send_drops_the_session(tmp_path):
+    server = DacsServer(write(tmp_path, MINIMAL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    ours, peer = socket.socketpair()
+    try:
+        server.handle_login("u", "192.168.10.9", MessageStream(ours))
+        assert server.session_table() == {"192.168.10.9": ("u", 1)}
+        peer.close()
+        assert server.admin_push() == 0
+        assert server.session_table() == {}
+        assert ours.fileno() == -1
+    finally:
+        peer.close()
+        server.stop()
+
+
+def test_session_superseded_before_its_read_loop_ends_quietly(tmp_path, monkeypatch):
+    server = DacsServer(write(tmp_path, MINIMAL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    first, first_peer = socket.socketpair()
+    second, second_peer = socket.socketpair()
+    login = server.handle_login
+
+    def login_then_supersede(user, client_ip, stream):
+        session = login(user, client_ip, stream)
+        login("v", client_ip, MessageStream(second))
+        return session
+
+    monkeypatch.setattr(server, "handle_login", login_then_supersede)
+    try:
+        first_peer.sendall(encode(Login("u", "192.168.10.9")))
+        server._agent_conn(first, ("192.168.10.9", 1))  # returns, raises nothing
+        assert server.session_table() == {"192.168.10.9": ("v", 2)}
+    finally:
+        first_peer.close()
+        second_peer.close()
+        server.stop()
 
 
 def test_missing_file_raises_oserror(tmp_path):

@@ -32,7 +32,7 @@ from .rules import (
     format_rule,
     parse_rule,
 )
-from .util import close_listener, format_hostport, parse_hostport, pump, setup_logging
+from .util import Listener, format_hostport, parse_hostport, pump, setup_logging
 from .wire import Ack, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.agent")
@@ -71,33 +71,20 @@ class VirtualDial:
     version: int
 
 
-class Redirector:
+class Redirector(Listener):
     """Loopback listener standing in for one rewrite rule's match key."""
 
     def __init__(self, target: Destination, preamble_ip: str | None):
         self.target = target
         self.preamble_ip = preamble_ip
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self._listener.bind(("127.0.0.1", 0))
+            super().__init__(("127.0.0.1", 0), self._forward)
         except OSError as exc:
-            self._listener.close()
             raise PortExhausted(str(exc)) from None
-        self._listener.listen(32)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._closed = False
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self.start()
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._forward, args=(conn,), daemon=True).start()
-
-    def _forward(self, conn: socket.socket) -> None:
+    def _forward(self, conn: socket.socket, _peer) -> None:
+        """Relay one session both ways, then close both ends."""
         try:
             upstream = socket.create_connection((self.target.host, self.target.port), timeout=10)
         except OSError:
@@ -110,12 +97,12 @@ class Redirector:
                 upstream.close()
                 conn.close()
                 return
-        threading.Thread(target=pump, args=(conn, upstream), daemon=True).start()
+        up = threading.Thread(target=pump, args=(conn, upstream), daemon=True)
+        up.start()
         pump(upstream, conn)
-
-    def close(self) -> None:
-        self._closed = True
-        close_listener(self._listener)
+        up.join(timeout=10)
+        upstream.close()
+        conn.close()
 
 
 @dataclass
@@ -295,28 +282,15 @@ class DacsAgent:
             self._installed = InstalledRules(self._installed.snapshot, {})
 
 
-class AgentControl:
+class AgentControl(Listener):
     """Local JSON-lines socket so the CLI can talk to a running agent."""
 
     def __init__(self, agent: DacsAgent, listen: tuple[str, int] = DEFAULT_CONTROL):
         self.agent = agent
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(listen)
-        self._listener.listen(16)
-        self.address = self._listener.getsockname()[:2]
-        self._closed = False
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        super().__init__(listen, self._serve)
+        self.start()
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
+    def _serve(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(60)
         try:
             raw = b""
@@ -367,10 +341,6 @@ class AgentControl:
                 sock.close()
             return {"ok": True, "outcome": "ok", "received": base64.b64encode(received).decode("ascii")}
         return {"ok": False, "error": f"unknown command {command!r}"}
-
-    def close(self) -> None:
-        self._closed = True
-        close_listener(self._listener)
 
 
 def _control_request(control: tuple[str, int], request: dict) -> dict:

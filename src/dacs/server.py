@@ -28,7 +28,7 @@ from .rules import (
     parse_rule,
     subject_violations,
 )
-from .util import close_listener, format_hostport, parse_hostport, setup_logging
+from .util import Listener, format_hostport, parse_hostport, setup_logging
 from .wire import Ack, ErrorMsg, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.server")
@@ -197,29 +197,23 @@ class DacsServer:
         self._push_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
         self._version = 0
-        self._closed = False
-        self._agent_listener = self._bind(listen)
-        self._control_listener = self._bind(control)
-        self.listen_addr = self._agent_listener.getsockname()[:2]
-        self.control_addr = self._control_listener.getsockname()[:2]
-
-    @staticmethod
-    def _bind(addr: tuple[str, int]) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(addr)
-        sock.listen(64)
-        return sock
+        self._agent_listener = Listener(listen, self._agent_conn)
+        try:
+            self._control_listener = Listener(control, self._control_conn)
+        except OSError:
+            self._agent_listener.close()
+            raise
+        self.listen_addr = self._agent_listener.address
+        self.control_addr = self._control_listener.address
 
     def start(self) -> "DacsServer":
-        threading.Thread(target=self._accept_agents, daemon=True).start()
-        threading.Thread(target=self._accept_control, daemon=True).start()
+        self._agent_listener.start()
+        self._control_listener.start()
         return self
 
     def stop(self) -> None:
-        self._closed = True
-        close_listener(self._agent_listener)
-        close_listener(self._control_listener)
+        self._agent_listener.close()
+        self._control_listener.close()
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
@@ -239,14 +233,6 @@ class DacsServer:
             }
 
     # --- agent plane ---
-
-    def _accept_agents(self) -> None:
-        while not self._closed:
-            try:
-                conn, peer = self._agent_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._agent_conn, args=(conn, peer), daemon=True).start()
 
     def _agent_conn(self, conn: socket.socket, peer) -> None:
         conn.settimeout(30)
@@ -381,15 +367,7 @@ class DacsServer:
             log.info("pushed to %d of %d sessions", sent, len(plans))
             return sent
 
-    def _accept_control(self) -> None:
-        while not self._closed:
-            try:
-                conn, _ = self._control_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._control_conn, args=(conn,), daemon=True).start()
-
-    def _control_conn(self, conn: socket.socket) -> None:
+    def _control_conn(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(30)
         stream = MessageStream(conn)
         try:

@@ -32,7 +32,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .rules import Block, Destination, MatchKey, Rewrite, RuleSet, format_match, format_rule
-from .util import close_listener, parse_hostport, recv_exact, setup_logging
+from .util import Listener, parse_hostport, recv_exact, setup_logging
 
 log = logging.getLogger("dacs.tunnel")
 
@@ -267,6 +267,7 @@ def _relay_channel_to_plain(channel: SecureChannel, plain: socket.socket) -> Non
 
 
 def _run_session(plain: socket.socket, channel: SecureChannel) -> None:
+    """Relay one tunnel session both ways, then close both ends."""
     up = threading.Thread(target=_relay_plain_to_channel, args=(plain, channel), daemon=True)
     up.start()
     _relay_channel_to_plain(channel, plain)
@@ -278,52 +279,19 @@ def _run_session(plain: socket.socket, channel: SecureChannel) -> None:
         pass
 
 
-class _ListenerBase:
-    """Accept loop shared by the two tunnel endpoints."""
-
-    def __init__(self, listen_host: str, listen_port: int):
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((listen_host, listen_port))
-        except OSError as exc:
-            self._listener.close()
-            raise TunnelError(f"cannot bind {listen_host}:{listen_port}: {exc}") from None
-        self._listener.listen(64)
-        self.address = self._listener.getsockname()[:2]
-        self._closed = False
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-
-    def start(self):
-        self._thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        self._closed = True
-        close_listener(self._listener)
-
-
-class TunnelClient(_ListenerBase):
+class TunnelClient(Listener):
     """Agent-side end: accepts localhost-rewritten connections, speaks the
     channel toward the server-side listener."""
 
     def __init__(self, local_port: int, remote: Destination, psk: bytes):
-        super().__init__("127.0.0.1", local_port)
         self.remote = remote
         self.psk = psk
+        try:
+            super().__init__(("127.0.0.1", local_port), self._handle)
+        except OSError as exc:
+            raise TunnelError(f"cannot bind 127.0.0.1:{local_port}: {exc}") from None
 
-    def _handle(self, conn: socket.socket) -> None:
+    def _handle(self, conn: socket.socket, _peer) -> None:
         try:
             upstream = socket.create_connection((self.remote.host, self.remote.port), timeout=10)
         except OSError as exc:
@@ -340,17 +308,20 @@ class TunnelClient(_ListenerBase):
         _run_session(conn, channel)
 
 
-class TunnelServer(_ListenerBase):
+class TunnelServer(Listener):
     """Server-side end: accepts channel sessions, relays plaintext to the
     real service. Pair it with a block of the plain service port so only
     tunneled access succeeds."""
 
     def __init__(self, listen: Destination, forward_to: Destination, psk: bytes):
-        super().__init__(listen.host, listen.port)
         self.forward_to = forward_to
         self.psk = psk
+        try:
+            super().__init__((listen.host, listen.port), self._handle)
+        except OSError as exc:
+            raise TunnelError(f"cannot bind {listen.host}:{listen.port}: {exc}") from None
 
-    def _handle(self, conn: socket.socket) -> None:
+    def _handle(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(10)
         try:
             channel = SecureChannel.server(conn, self.psk)
@@ -365,15 +336,7 @@ class TunnelServer(_ListenerBase):
             log.warning("forward target unreachable: %s", exc)
             channel.close()
             return
-        up = threading.Thread(target=_relay_plain_to_channel, args=(plain, channel), daemon=True)
-        up.start()
-        _relay_channel_to_plain(channel, plain)
-        up.join(timeout=10)
-        channel.close()
-        try:
-            plain.close()
-        except OSError:
-            pass
+        _run_session(plain, channel)
 
 
 def establish_tunnel(

@@ -1,4 +1,5 @@
-"""Shared plumbing: address parsing, socket helpers, logging setup."""
+"""Shared plumbing: address parsing, socket helpers, the TCP listener,
+logging setup."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import logging
 import os
 import random
 import socket
+import threading
 import time
 
 
@@ -51,6 +53,43 @@ def close_listener(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
+
+
+class Listener:
+    """A listening TCP socket whose accept loop runs `handler(conn, peer)` on
+    a daemon thread per connection.
+
+    The socket is bound at construction, so `address` (with port 0 resolved)
+    is known before `start()`; a failed bind or listen closes the socket and
+    raises OSError.
+    """
+
+    def __init__(self, addr: tuple[str, int], handler):
+        self.handler = handler
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind(addr)
+            self._sock.listen()
+        except OSError:
+            self._sock.close()
+            raise
+        self.address: tuple[str, int] = self._sock.getsockname()[:2]
+
+    def start(self) -> "Listener":
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+        return self
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, peer = self._sock.accept()
+            except OSError:  # closed
+                return
+            threading.Thread(target=self.handler, args=(conn, peer), daemon=True).start()
+
+    def close(self) -> None:
+        close_listener(self._sock)
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -8,6 +8,7 @@ server so CGI programs can know which user is behind a source address.
 
 from __future__ import annotations
 
+import functools
 import logging
 import mimetypes
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .rules import is_ipv4
-from .util import close_listener, parse_hostport, setup_logging
+from .util import Listener, parse_hostport, setup_logging
 from .wire import IdentityNotice, MessageStream, WireError
 
 log = logging.getLogger("dacs.web")
@@ -285,65 +286,38 @@ class VHostServer:
         self.bindings = list(bindings)
         self.identity_listen = identity_listen
         self.registry = registry if registry is not None else IdentityRegistry()
-        self._listeners: list[socket.socket] = []
-        self._identity_listener: socket.socket | None = None
-        self._closed = False
+        self._listeners: list[Listener] = []
 
     def start(self) -> "VHostServer":
-        bound: list[tuple[VHostBinding, socket.socket]] = []
-        identity_sock = None
+        for binding in self.bindings:
+            if not binding.docroot.is_dir():
+                raise BindError(f"docroot {binding.docroot} is not a directory")
         try:
             for binding in self.bindings:
-                if not binding.docroot.is_dir():
-                    raise BindError(f"docroot {binding.docroot} is not a directory")
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                sock.bind((binding.host, binding.port))
-                sock.listen(128)
-                binding.port = sock.getsockname()[1]  # resolves port 0
-                bound.append((binding, sock))
+                listener = Listener(
+                    (binding.host, binding.port), functools.partial(self._http_conn, binding)
+                )
+                self._listeners.append(listener)
+                binding.port = listener.address[1]  # resolves port 0
             if self.identity_listen is not None:
-                identity_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                identity_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                identity_sock.bind(self.identity_listen)
-                identity_sock.listen(64)
-                self.identity_listen = identity_sock.getsockname()[:2]
+                listener = Listener(self.identity_listen, self._identity_conn)
+                self._listeners.append(listener)
+                self.identity_listen = listener.address
         except OSError as exc:
-            for _, sock in bound:
-                sock.close()
-            if identity_sock is not None:
-                identity_sock.close()
+            self.stop()
             raise BindError(str(exc)) from None
-        self._listeners = [sock for _, sock in bound]
-        self._identity_listener = identity_sock
-        for binding, sock in bound:
-            threading.Thread(
-                target=self._accept_loop, args=(binding, sock), daemon=True
-            ).start()
-        if identity_sock is not None:
-            threading.Thread(
-                target=self._identity_accept_loop, args=(identity_sock,), daemon=True
-            ).start()
+        for listener in self._listeners:
+            listener.start()
         return self
 
     def stop(self) -> None:
-        self._closed = True
-        for sock in self._listeners:
-            close_listener(sock)
-        if self._identity_listener is not None:
-            close_listener(self._identity_listener)
+        for listener in self._listeners:
+            listener.close()
+        self._listeners = []
 
     # --- identity ingestion ---
 
-    def _identity_accept_loop(self, listener: socket.socket) -> None:
-        while not self._closed:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._identity_conn, args=(conn,), daemon=True).start()
-
-    def _identity_conn(self, conn: socket.socket) -> None:
+    def _identity_conn(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(5)
         stream = MessageStream(conn)
         try:
@@ -360,16 +334,6 @@ class VHostServer:
         conn.close()
 
     # --- HTTP ---
-
-    def _accept_loop(self, binding: VHostBinding, listener: socket.socket) -> None:
-        while not self._closed:
-            try:
-                conn, peer = listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._http_conn, args=(binding, conn, peer), daemon=True
-            ).start()
 
     def _http_conn(self, binding: VHostBinding, conn: socket.socket, peer) -> None:
         conn.settimeout(30)

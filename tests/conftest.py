@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import subprocess
 import sys
 import threading
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+from dacs.util import close_listener
 
 PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,7 +56,7 @@ class EchoServer:
 
     def close(self):
         self._closed = True
-        self.sock.close()
+        close_listener(self.sock)
 
 
 class TagServer:
@@ -83,7 +88,7 @@ class TagServer:
 
     def close(self):
         self._closed = True
-        self.sock.close()
+        close_listener(self.sock)
 
 
 class TapProxy:
@@ -117,10 +122,14 @@ class TapProxy:
         except OSError:
             conn.close()
             return
-        threading.Thread(
+        forward = threading.Thread(
             target=self._relay, args=(conn, upstream, self.captured, True), daemon=True
-        ).start()
+        )
+        forward.start()
         self._relay(upstream, conn, self.captured_back, False)
+        forward.join(timeout=10)
+        upstream.close()
+        conn.close()
 
     def _relay(self, src, dst, capture: bytearray, forward: bool):
         try:
@@ -147,7 +156,7 @@ class TapProxy:
 
     def close(self):
         self._closed = True
-        self.sock.close()
+        close_listener(self.sock)
 
 
 def port_refuses(port: int, host: str = "127.0.0.1") -> bool:
@@ -169,6 +178,17 @@ def port_refuses(port: int, host: str = "127.0.0.1") -> bool:
             sock.close()
         return False
     raise RuntimeError("could not grab a distinct source port")
+
+
+@contextmanager
+def no_resource_warnings():
+    """Fail when the block leaves a socket or file for the garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
 
 
 def spawn_cli(module_args: list[str], **popen_kw) -> subprocess.Popen:

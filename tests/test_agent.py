@@ -3,11 +3,12 @@ silence, transparency, and snapshot atomicity under racing installs."""
 
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import TagServer, port_refuses
+from conftest import TagServer, no_resource_warnings, port_refuses
 from dacs.agent import BlockedError, ConnectError, DacsAgent, VirtualDial
 from dacs.rules import (
     Block,
@@ -96,6 +97,23 @@ def test_redirector_forwards_external_clients(agent, echo_server):
         sock.sendall(b"through the side door")
         sock.shutdown(socket.SHUT_WR)
         assert drain(sock) == b"through the side door"
+
+
+def test_redirected_session_closes_both_of_its_sockets(agent, echo_server):
+    installed = agent.install_ruleset(
+        ruleset(1, Rule(MatchKey("svc", 80), rewrite_to(echo_server.address)))
+    )
+    addr = installed.redirectors[MatchKey("svc", 80)].address
+    threads_before = threading.active_count()
+    with no_resource_warnings():
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(b"one session")
+            sock.shutdown(socket.SHUT_WR)
+            assert drain(sock) == b"one session"
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() <= threads_before  # the session's threads ended
 
 
 # --- dialing ------------------------------------------------------------------
@@ -269,5 +287,5 @@ def test_agent_cli_login_status_dial(tmp_path, echo_server):
         assert out == b"cli dial payload"  # echoed through the rewrite
     finally:
         proc.terminate()
-        proc.wait(timeout=5)
+        proc.communicate(timeout=5)  # reaps it and closes its pipes
         server.stop()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import spawn_cli
+from conftest import no_resource_warnings, spawn_cli
 from dacs import rules
 from dacs.agent import DacsAgent
 from dacs.rules import (
@@ -221,6 +221,15 @@ def test_session_superseded_before_its_read_loop_ends_quietly(tmp_path, monkeypa
         first_peer.close()
         second_peer.close()
         server.stop()
+
+
+def test_taken_control_port_leaves_no_socket_open(tmp_path):
+    repo_path = write(tmp_path, MINIMAL)
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        with no_resource_warnings():
+            with pytest.raises(OSError):
+                DacsServer(repo_path, listen=("127.0.0.1", 0), control=blocker.getsockname())
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -486,4 +495,4 @@ def test_dacsd_cli_serve_and_push(tmp_path):
         assert b"pushed to 0 client(s)" in out
     finally:
         proc.terminate()
-        proc.wait(timeout=5)
+        proc.communicate(timeout=5)  # reaps it and closes its pipes

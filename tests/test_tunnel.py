@@ -15,6 +15,8 @@ from dacs.tunnel import (
     KeyFileError,
     SecureChannel,
     TunnelClient,
+    TunnelError,
+    TunnelServer,
     TunnelSpec,
     establish_tunnel,
     load_key,
@@ -429,6 +431,16 @@ def test_tunnel_client_closes_local_conn_when_remote_unreachable():
     client_end.close()
 
 
+def test_tunnel_endpoints_report_a_taken_port_as_tunnel_error():
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        port = blocker.getsockname()[1]
+        with pytest.raises(TunnelError, match="cannot bind"):
+            TunnelClient(port, Destination("127.0.0.1", 1), PSK)
+        with pytest.raises(TunnelError, match="cannot bind"):
+            TunnelServer(Destination("127.0.0.1", port), Destination("127.0.0.1", 1), PSK)
+
+
 def test_sctl_cli_round_trip(tmp_path, echo_server):
     from conftest import spawn_cli
     from dacs.util import free_port, wait_for_port
@@ -464,7 +476,7 @@ def test_sctl_cli_round_trip(tmp_path, echo_server):
     finally:
         for proc in (client_proc, server_proc):
             proc.terminate()
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)  # reaps it and closes its pipes
 
 
 def test_policy_check_twenty_random_configs_match_oracle():

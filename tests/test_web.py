@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import no_resource_warnings
 from dacs.experiment import materialize_sample_app
 from dacs.util import http_exchange
 from dacs.web import (
@@ -91,6 +92,23 @@ def test_startup_aborts_when_any_socket_is_taken(tmp_path):
     with pytest.raises(BindError):
         server.start()
     blocker.close()
+
+
+def test_failed_startup_leaves_no_socket_open(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        server = VHostServer(
+            [
+                VHostBinding("127.0.0.1", 0, tmp_path / "a"),
+                VHostBinding("127.0.0.1", blocker.getsockname()[1], tmp_path / "b"),
+            ],
+            identity_listen=("127.0.0.1", 0),
+        )
+        with no_resource_warnings():
+            with pytest.raises(BindError):
+                server.start()
 
 
 # --- static serving -----------------------------------------------------------

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import os
+import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from contextlib import contextmanager
@@ -17,6 +19,23 @@ import pytest
 from dacs.util import close_listener
 
 PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent / "src")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Hypothesis caches source constants and Unicode tables on disk even
+    with database=None, starting at collection; point that cache at a
+    directory removed after the run, so a run leaves no .hypothesis/ behind."""
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    if _HYPOTHESIS_HOME in config.stash:
+        shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 class EchoServer:

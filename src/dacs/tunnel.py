@@ -32,7 +32,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .rules import Block, Destination, MatchKey, Rewrite, RuleSet, format_match, format_rule
-from .util import Listener, parse_hostport, recv_exact, setup_logging
+from .util import Listener, clear_deadline, parse_hostport, recv_exact, setup_logging
 
 log = logging.getLogger("dacs.tunnel")
 
@@ -102,8 +102,11 @@ class SecureChannel:
     @classmethod
     def client(cls, sock: socket.socket, psk: bytes) -> "SecureChannel":
         mine = os.urandom(NONCE_LEN)
-        sock.sendall(mine)
-        theirs = recv_exact(sock, NONCE_LEN)
+        try:
+            sock.sendall(mine)
+            theirs = recv_exact(sock, NONCE_LEN)
+        except OSError as exc:
+            raise HandshakeError(f"nonce exchange failed: {exc}") from None
         if len(theirs) != NONCE_LEN:
             raise HandshakeError("peer closed during nonce exchange")
         channel = cls(sock, _session_key(psk, mine, theirs), client_side=True)
@@ -112,11 +115,14 @@ class SecureChannel:
 
     @classmethod
     def server(cls, sock: socket.socket, psk: bytes) -> "SecureChannel":
-        theirs = recv_exact(sock, NONCE_LEN)
-        if len(theirs) != NONCE_LEN:
-            raise HandshakeError("peer closed during nonce exchange")
         mine = os.urandom(NONCE_LEN)
-        sock.sendall(mine)
+        try:
+            theirs = recv_exact(sock, NONCE_LEN)
+            if len(theirs) != NONCE_LEN:
+                raise HandshakeError("peer closed during nonce exchange")
+            sock.sendall(mine)
+        except OSError as exc:
+            raise HandshakeError(f"nonce exchange failed: {exc}") from None
         channel = cls(sock, _session_key(psk, theirs, mine), client_side=False)
         channel._confirm(_FINISH_SERVER, _FINISH_CLIENT)
         return channel
@@ -305,6 +311,7 @@ class TunnelClient(Listener):
             upstream.close()
             conn.close()
             return
+        clear_deadline(upstream)
         _run_session(conn, channel)
 
 
@@ -329,13 +336,13 @@ class TunnelServer(Listener):
             log.warning("rejected session: %s", exc)
             conn.close()
             return
-        conn.settimeout(None)
         try:
             plain = socket.create_connection((self.forward_to.host, self.forward_to.port), timeout=10)
         except OSError as exc:
             log.warning("forward target unreachable: %s", exc)
             channel.close()
             return
+        clear_deadline(conn, plain)
         _run_session(plain, channel)
 
 

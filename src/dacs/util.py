@@ -10,6 +10,10 @@ import socket
 import threading
 import time
 
+log = logging.getLogger("dacs.util")
+
+ACCEPT_RETRY_PAUSE = 0.1  # seconds; after an accept() error such as EMFILE
+
 
 def parse_hostport(text: str) -> tuple[str, int]:
     """Parse `host:port`; hosts never contain a colon in this testbed."""
@@ -61,11 +65,13 @@ class Listener:
 
     The socket is bound at construction, so `address` (with port 0 resolved)
     is known before `start()`; a failed bind or listen closes the socket and
-    raises OSError.
+    raises OSError. The accept loop ends only at `close()`: any other accept
+    error is logged and retried after a short pause.
     """
 
     def __init__(self, addr: tuple[str, int], handler):
         self.handler = handler
+        self._closed = False
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -84,12 +90,23 @@ class Listener:
         while True:
             try:
                 conn, peer = self._sock.accept()
-            except OSError:  # closed
-                return
+            except OSError as exc:
+                if self._closed:
+                    return
+                log.warning("accept on %s failed, retrying: %s", format_hostport(self.address), exc)
+                time.sleep(ACCEPT_RETRY_PAUSE)
+                continue
             threading.Thread(target=self.handler, args=(conn, peer), daemon=True).start()
 
     def close(self) -> None:
+        self._closed = True
         close_listener(self._sock)
+
+
+def clear_deadline(*socks: socket.socket) -> None:
+    """Lift the connect/handshake timeout: an established relay has no idle timeout."""
+    for sock in socks:
+        sock.settimeout(None)
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

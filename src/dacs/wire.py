@@ -11,7 +11,16 @@ from __future__ import annotations
 import socket
 from dataclasses import dataclass
 
-from .rules import RuleSyntaxError, is_ipv4, parse_rule
+from .rules import (
+    Rule,
+    RuleSyntaxError,
+    _core_violations,
+    format_rule,
+    group_name_violations,
+    is_ipv4,
+    parse_rule,
+    user_name_violations,
+)
 
 FRAME_LIMIT = 1_048_576  # max payload bytes
 _HEADER_MAX = len(b"L:1048576\n")
@@ -54,7 +63,7 @@ class Login:
 @dataclass(frozen=True)
 class RuleSetMsg:
     version: int
-    rules: tuple[str, ...]  # rule-grammar lines, in installed order
+    rules: tuple[Rule, ...]  # in installed order
 
 
 @dataclass(frozen=True)
@@ -83,12 +92,14 @@ class ErrorMsg:
 Message = Login | RuleSetMsg | PushNotice | IdentityNotice | Ack | ErrorMsg
 
 
+def _checked(value: str, problems: list[str]) -> str:
+    if problems:
+        raise IllegalCharacter(f"{value!r}: " + "; ".join(problems))
+    return value
+
+
 def _check_user(name: str) -> str:
-    if not name:
-        raise IllegalCharacter("empty user name")
-    if any(c.isspace() for c in name) or "|" in name or "=" in name:
-        raise IllegalCharacter(f"illegal character in user name {name!r}")
-    return name
+    return _checked(name, user_name_violations(name))
 
 
 def _check_ip(ip: str) -> str:
@@ -98,11 +109,7 @@ def _check_ip(ip: str) -> str:
 
 
 def _check_group(name: str) -> str:
-    if not name:
-        raise IllegalCharacter("empty group name")
-    if any(c.isspace() for c in name) or set("|=,") & set(name):
-        raise IllegalCharacter(f"illegal character in group name {name!r}")
-    return name
+    return _checked(name, group_name_violations(name))
 
 
 def _check_version(value: int) -> int:
@@ -111,12 +118,11 @@ def _check_version(value: int) -> int:
     return value
 
 
-def _check_rule_line(line: str) -> str:
-    try:
-        parse_rule(line)
-    except RuleSyntaxError as exc:
-        raise IllegalCharacter(f"rule line does not parse: {exc}") from None
-    return line
+def _rule_line(rule: Rule) -> str:
+    problems = _core_violations(rule.match, rule.action)
+    if problems:
+        raise IllegalCharacter(f"{rule!r}: " + "; ".join(problems))
+    return format_rule(rule)
 
 
 def _check_code(code: str) -> str:
@@ -141,7 +147,7 @@ def _payload(msg: Message) -> str:
         )
     if isinstance(msg, RuleSetMsg):
         lines = ["RULESET", "version=%d" % _check_version(msg.version)]
-        lines += ["rule=%s" % _check_rule_line(line) for line in msg.rules]
+        lines += ["rule=%s" % _rule_line(rule) for rule in msg.rules]
         return "\n".join(lines) + "\n"
     if isinstance(msg, PushNotice):
         return "PUSH\n"
@@ -206,20 +212,19 @@ def _parse_payload(payload: bytes) -> Message:
         user = _take(fields, 0, "user", verb)
         client_ip = _take(fields, 1, "client_ip", verb)
         _no_more(fields, 2, verb)
-        return Login(_decoded_user(user), _decoded_ip(client_ip))
+        return Login(_decoded(_check_user, user), _decoded(_check_ip, client_ip))
     if verb == "RULESET":
         version = _as_version(_take(fields, 0, "version", verb), verb)
-        rule_lines = []
+        rules = []
         for field in fields[1:]:
             name, sep, value = field.partition("=")
             if not sep or name != "rule":
                 raise MalformedFrame(f"{verb}: expected rule=, got {field!r}")
             try:
-                parse_rule(value)
+                rules.append(parse_rule(value))
             except RuleSyntaxError as exc:
                 raise MalformedFrame(f"{verb}: bad rule line: {exc}") from None
-            rule_lines.append(value)
-        return RuleSetMsg(version, tuple(rule_lines))
+        return RuleSetMsg(version, tuple(rules))
     if verb == "PUSH":
         _no_more(fields, 0, verb)
         return PushNotice()
@@ -228,13 +233,8 @@ def _parse_payload(payload: bytes) -> Message:
         client_ip = _take(fields, 1, "client_ip", verb)
         raw_groups = _take(fields, 2, "groups", verb)
         _no_more(fields, 3, verb)
-        groups = tuple(raw_groups.split(",")) if raw_groups else ()
-        for group in groups:
-            try:
-                _check_group(group)
-            except IllegalCharacter as exc:
-                raise MalformedFrame(f"{verb}: {exc}") from None
-        return IdentityNotice(_decoded_user(user), _decoded_ip(client_ip), groups)
+        groups = tuple(_decoded(_check_group, g) for g in raw_groups.split(",")) if raw_groups else ()
+        return IdentityNotice(_decoded(_check_user, user), _decoded(_check_ip, client_ip), groups)
     if verb == "ACK":
         ref = _as_version(_take(fields, 0, "ref_version", verb), verb)
         _no_more(fields, 1, verb)
@@ -243,24 +243,14 @@ def _parse_payload(payload: bytes) -> Message:
         code = _take(fields, 0, "code", verb)
         detail = _take(fields, 1, "detail", verb)
         _no_more(fields, 2, verb)
-        try:
-            _check_code(code)
-        except IllegalCharacter as exc:
-            raise MalformedFrame(str(exc)) from None
-        return ErrorMsg(code, detail)
+        return ErrorMsg(_decoded(_check_code, code), detail)
     raise UnknownVerb(repr(verb))
 
 
-def _decoded_user(name: str) -> str:
+def _decoded(check, value: str) -> str:
+    """Apply an encode-side field check to a received field."""
     try:
-        return _check_user(name)
-    except IllegalCharacter as exc:
-        raise MalformedFrame(str(exc)) from None
-
-
-def _decoded_ip(ip: str) -> str:
-    try:
-        return _check_ip(ip)
+        return check(value)
     except IllegalCharacter as exc:
         raise MalformedFrame(str(exc)) from None
 

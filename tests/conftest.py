@@ -24,11 +24,17 @@ _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
 
 def pytest_configure(config):
-    """Hypothesis caches source constants and Unicode tables on disk even
-    with database=None, starting at collection; point that cache at a
-    directory removed after the run, so a run leaves no .hypothesis/ behind."""
+    """Property tests run the same examples on every run and keep no example
+    database. Hypothesis still caches source constants and Unicode tables on
+    disk, starting at collection; that cache goes to a directory removed
+    after the run, so a run leaves no .hypothesis/ behind."""
+    from hypothesis import settings
     from hypothesis.configuration import set_hypothesis_home_dir
 
+    settings.register_profile(
+        "dacs", derandomize=True, database=None, max_examples=200, deadline=None
+    )
+    settings.load_profile("dacs")
     config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
     set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
 

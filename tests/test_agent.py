@@ -9,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import TagServer, no_resource_warnings, port_refuses
-from dacs.agent import BlockedError, ConnectError, DacsAgent, VirtualDial
+from dacs import agent as agent_module, wire
+from dacs.agent import BlockedError, ConnectError, DacsAgent, ProtocolError, VirtualDial
 from dacs.rules import (
     Block,
     Destination,
@@ -114,6 +115,25 @@ def test_redirected_session_closes_both_of_its_sockets(agent, echo_server):
         while threading.active_count() > threads_before and time.monotonic() < deadline:
             time.sleep(0.02)
         assert threading.active_count() <= threads_before  # the session's threads ended
+
+
+def test_redirected_session_relays_with_no_idle_deadline(agent, echo_server, monkeypatch):
+    timeouts = []
+    relay = agent_module.pump
+
+    def recording_pump(src, dst):
+        timeouts.append((src.gettimeout(), dst.gettimeout()))
+        relay(src, dst)
+
+    monkeypatch.setattr(agent_module, "pump", recording_pump)
+    installed = agent.install_ruleset(
+        ruleset(1, Rule(MatchKey("svc", 80), rewrite_to(echo_server.address)))
+    )
+    with socket.create_connection(installed.redirectors[MatchKey("svc", 80)].address, timeout=5) as sock:
+        sock.sendall(b"idle later")
+        sock.shutdown(socket.SHUT_WR)
+        assert drain(sock) == b"idle later"
+    assert timeouts == [(None, None), (None, None)]
 
 
 # --- dialing ------------------------------------------------------------------
@@ -244,6 +264,95 @@ def test_dials_race_one_install_without_torn_reads(agent):
     assert tags.count(b"N") + tags.count(b"N1") == 200
     target_n.close()
     target_n1.close()
+
+
+# --- rule distribution ------------------------------------------------------------
+
+
+def ruleset_frame(version, *lines):
+    """A RULESET frame built by hand, so it may carry what encode refuses."""
+    payload = f"RULESET\nversion={version}\n" + "".join(f"rule={line}\n" for line in lines)
+    return b"L:%d\n%s" % (len(payload), payload.encode("ascii"))
+
+
+@pytest.fixture
+def rule_server():
+    """A listening socket standing in for dacsd; the test speaks its side."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    yield listener
+    listener.close()
+
+
+def test_login_with_a_malformed_rule_line_raises_protocol_error(rule_server):
+    client = DacsAgent(rule_server.getsockname(), "userA", "10.0.0.1")
+    with ThreadPoolExecutor(1) as pool:
+        login = pool.submit(client.login, 5)
+        conn, _ = rule_server.accept()
+        with conn:
+            conn.settimeout(5)
+            assert isinstance(wire.MessageStream(conn).recv(), wire.Login)
+            conn.sendall(ruleset_frame(1, "block|h:80", "block|h:99999"))
+            with pytest.raises(ProtocolError):
+                login.result(timeout=5)
+    assert client.installed.snapshot.version == 0
+    client.close()
+
+
+def test_pushed_duplicate_match_key_is_rejected_and_the_next_push_installs(rule_server, caplog):
+    client = DacsAgent(rule_server.getsockname(), "userA", "10.0.0.1")
+    push = wire.encode(wire.PushNotice())
+    with ThreadPoolExecutor(1) as pool:
+        login = pool.submit(client.login, 5)
+        conn, _ = rule_server.accept()
+        conn.settimeout(5)
+        stream = wire.MessageStream(conn)
+        assert isinstance(stream.recv(), wire.Login)
+        conn.sendall(ruleset_frame(1, "block|h:80"))
+        assert stream.recv() == wire.Ack(1)
+        login.result(timeout=5)
+    try:
+        conn.sendall(push + ruleset_frame(2, "block|h:81", "rewrite|h:81|127.0.0.1:9"))
+        deadline = time.monotonic() + 5
+        while "pushed rule set rejected" not in caplog.text and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert "pushed rule set rejected" in caplog.text
+        assert client.installed.snapshot == ruleset(1, Rule(MatchKey("h", 80), Block()))
+        conn.sendall(push + ruleset_frame(3, "block|h:82"))
+        assert stream.recv() == wire.Ack(3)  # version 2 was never acked
+        assert client.installed.snapshot == ruleset(3, Rule(MatchKey("h", 82), Block()))
+    finally:
+        client.close()
+        stream.close()
+
+
+def test_login_parses_each_delivered_rule_once(tmp_path, monkeypatch):
+    from dacs.server import DacsServer
+
+    count = 40
+    repo = tmp_path / "repo.conf"
+    repo.write_text("[policy]\npriority=user\n[user userA]\n"
+                    + "".join(f"block|h{i}.example:80\n" for i in range(count)))
+    server = DacsServer(repo, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    calls = {"wire": 0, "agent": 0}
+
+    def counting(name, func):
+        def wrapper(line):
+            calls[name] += 1
+            return func(line)
+        return wrapper
+
+    monkeypatch.setattr(wire, "parse_rule", counting("wire", wire.parse_rule))
+    monkeypatch.setattr(agent_module, "parse_rule", counting("agent", agent_module.parse_rule))
+    client = DacsAgent(server.listen_addr, "userA", "10.0.0.1")
+    try:
+        installed = client.login(timeout=5)
+        assert len(installed.snapshot.rules) == count
+        assert calls == {"wire": count, "agent": 0}
+    finally:
+        client.close()
+        server.stop()
 
 
 # --- agent CLI --------------------------------------------------------------------

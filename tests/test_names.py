@@ -4,53 +4,81 @@ of the implementation."""
 
 import re
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, strategies as st
 
-from dacs import server, wire
-from dacs.rules import User, subject_violations
+from dacs import wire
+from dacs.rules import User, group_name_violations, subject_violations, user_name_violations
+from dacs.server import RepositoryError, load_repository
 
 USER_NAME = re.compile(r"[^\s|=]+")
 GROUP_NAME = re.compile(r"[^\s|=,]+")
 
-# the separators and whitespace the grammar cares about, plus plain letters
-EDGES = "aZ9_-.é:#[] |=,\t\n\r\x0b\x0c\x1c\x85\xa0 　"
+# the separators and whitespace the grammars care about, plus plain letters
+EDGES = "aZ9_-.é:#[] |=,\t\n\r\x0b\x0c\x1c\x85\xa0 　"
 ANY_CHAR = st.integers(0, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF).map(chr)
 NAMES = st.text(st.one_of(st.sampled_from(EDGES), ANY_CHAR), max_size=6)
-CHECK = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
-def accepts(check, name) -> bool:
+@pytest.fixture(scope="module")
+def repo_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("names") / "repo.conf"
+
+
+def accepts(call) -> bool:
     try:
-        check(name)
-    except (wire.IllegalCharacter, server.InvariantViolation):
+        call()
+    except (wire.WireError, RepositoryError):
         return False
     return True
 
 
-USER_CHECKS = {
-    "rules.subject_violations": lambda name: not subject_violations(User(name)),
-    "wire._check_user": lambda name: accepts(wire._check_user, name),
-}
-
-GROUP_CHECKS = {
-    "wire._check_group": lambda name: accepts(wire._check_group, name),
-    "server._check_group_name": lambda name: accepts(lambda n: server._check_group_name(n, 1), name),
-}
+def frame(payload: str) -> bytes:
+    data = payload.encode("utf-8")
+    return b"L:%d\n%s" % (len(data), data)
 
 
-@CHECK
+def loads(path, groups_line: str) -> bool:
+    path.write_text(f"[policy]\npriority=user\n[groups]\n{groups_line}\n", encoding="utf-8")
+    return accepts(lambda: load_repository(path))
+
+
 @given(NAMES)
-def test_every_user_name_check_accepts_the_reference_language(name):
+def test_every_user_name_path_accepts_the_reference_language(repo_file, name):
     expected = USER_NAME.fullmatch(name) is not None
-    assert {label: check(name) for label, check in USER_CHECKS.items()} == dict.fromkeys(
-        USER_CHECKS, expected
-    )
+    paths = {
+        "rules.user_name_violations": not user_name_violations(name),
+        "rules.subject_violations": not subject_violations(User(name)),
+        "wire.encode LOGIN": accepts(lambda: wire.encode(wire.Login(name, "1.2.3.4"))),
+        "wire.decode LOGIN": accepts(
+            lambda: wire.decode(frame(f"LOGIN\nuser={name}\nclient_ip=1.2.3.4\n"))
+        ),
+        "wire.encode IDENTITY": accepts(
+            lambda: wire.encode(wire.IdentityNotice(name, "1.2.3.4", ()))
+        ),
+    }
+    # the loader reads universal newlines, strips lines, skips comments and
+    # splits at the first '='
+    if name == name.strip() and not set("\r\n=") & set(name) and name[:1] not in "#[":
+        paths["server.load_repository [groups] user"] = loads(repo_file, f"{name}=G")
+    assert paths == dict.fromkeys(paths, expected)
 
 
-@CHECK
 @given(NAMES)
-def test_every_group_name_check_accepts_the_reference_language(name):
+def test_every_group_name_path_accepts_the_reference_language(repo_file, name):
     expected = GROUP_NAME.fullmatch(name) is not None
-    assert {label: check(name) for label, check in GROUP_CHECKS.items()} == dict.fromkeys(
-        GROUP_CHECKS, expected
-    )
+    paths = {
+        "rules.group_name_violations": not group_name_violations(name),
+        "wire.encode IDENTITY": accepts(
+            lambda: wire.encode(wire.IdentityNotice("u", "1.2.3.4", (name,)))
+        ),
+    }
+    # in a received list a ',' splits the name and a line feed ends the line;
+    # the loader also ends a line at a carriage return
+    if "," not in name and "\n" not in name:
+        paths["wire.decode IDENTITY"] = accepts(
+            lambda: wire.decode(frame(f"IDENTITY\nuser=u\nclient_ip=1.2.3.4\ngroups=G,{name},H\n"))
+        )
+        if "\r" not in name:
+            paths["server.load_repository [groups] group"] = loads(repo_file, f"u=G,{name},H")
+    assert paths == dict.fromkeys(paths, expected)

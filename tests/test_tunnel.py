@@ -4,11 +4,13 @@ selectivity, and the double-rewrite policy check against a pairing oracle."""
 import os
 import random
 import socket
+import struct
 import threading
 
 import pytest
 
-from conftest import EchoServer, TapProxy
+from conftest import EchoServer, TapProxy, no_resource_warnings
+from dacs import tunnel
 from dacs.rules import Block, Destination, MatchKey, Rewrite, Rule, RuleSet
 from dacs.tunnel import (
     HandshakeError,
@@ -418,6 +420,67 @@ def test_interception_resistance_only_agent_users_get_through():
     client_end.close()
     server_end.close()
     internal.close()
+
+
+def test_tunnel_sessions_relay_with_no_idle_deadline(echo_server, monkeypatch):
+    timeouts = []
+    run_session = tunnel._run_session
+
+    def recording_run_session(plain, channel):
+        timeouts.append((plain.gettimeout(), channel.sock.gettimeout()))
+        run_session(plain, channel)
+
+    monkeypatch.setattr(tunnel, "_run_session", recording_run_session)
+    client_end, server_end = _tunnel_pair(echo_server.address)
+    with socket.create_connection(client_end.address, timeout=5) as sock:
+        sock.sendall(b"idle later")
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(5)
+        assert sock.recv(64) == b"idle later"
+    client_end.close()
+    server_end.close()
+    assert timeouts == [(None, None), (None, None)]  # one per tunnel end
+
+
+def _abort(sock):
+    """Close with an RST instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_tunnel_server_closes_a_connection_reset_during_the_handshake():
+    server_end = TunnelServer(Destination("127.0.0.1", 0), Destination("127.0.0.1", 1), PSK)
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        peer = socket.create_connection(listener.getsockname(), timeout=5)
+        conn, _ = listener.accept()
+    _abort(peer)
+    try:
+        server_end._handle(conn, None)  # the nonce read fails; nothing escapes
+        assert conn.fileno() == -1
+    finally:
+        conn.close()
+        server_end.close()
+
+
+def test_tunnel_client_closes_both_sockets_when_the_handshake_is_reset():
+    with socket.socket() as remote:
+        remote.bind(("127.0.0.1", 0))
+        remote.listen(1)
+        aborter = threading.Thread(target=lambda: _abort(remote.accept()[0]))
+        aborter.start()
+        client_end = TunnelClient(0, Destination(*remote.getsockname()), PSK)
+        local, app = socket.socketpair()
+        try:
+            with no_resource_warnings():  # the upstream socket is closed too
+                client_end._handle(local, None)
+            assert local.fileno() == -1
+        finally:
+            aborter.join(timeout=5)
+            local.close()
+            app.close()
+            client_end.close()
 
 
 def test_tunnel_client_closes_local_conn_when_remote_unreachable():

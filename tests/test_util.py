@@ -1,5 +1,7 @@
 """The shared TCP listener: handler contract, close, and failed binds."""
 
+import errno
+import os
 import queue
 import socket
 import threading
@@ -50,3 +52,31 @@ def test_bind_to_a_taken_port_raises_and_leaves_no_socket_open():
         with no_resource_warnings():
             with pytest.raises(OSError):
                 Listener(blocker.getsockname(), lambda conn, peer: conn.close())
+
+
+def test_an_accept_error_is_logged_and_the_loop_keeps_serving(monkeypatch, caplog):
+    served = threading.Event()
+
+    def handler(conn, peer):
+        conn.close()
+        served.set()
+
+    listener = Listener(("127.0.0.1", 0), handler)
+    accept = socket.socket.accept
+    failures = []
+
+    def accept_failing_once(sock):
+        if sock is listener._sock and not failures:
+            failures.append(errno.EMFILE)
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+    listener.start()
+    try:
+        with socket.create_connection(listener.address, timeout=5):
+            assert served.wait(timeout=5)
+    finally:
+        listener.close()
+    assert failures == [errno.EMFILE]
+    assert os.strerror(errno.EMFILE) in caplog.text

@@ -9,8 +9,10 @@ import random
 import string
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dacs import wire
+from dacs.rules import Block, Destination, MatchKey, Rewrite, Rule, RuleSyntaxError, format_rule, parse_rule
 from dacs.wire import (
     Ack,
     ErrorMsg,
@@ -39,7 +41,7 @@ GOLDEN = [
         b"L:33\nLOGIN\nuser=op\nclient_ip=10.0.0.7\n",
     ),
     (
-        RuleSetMsg(1, ("rewrite|wwwserver:80|192.168.1.1:3000",)),
+        RuleSetMsg(1, (Rule(MatchKey("wwwserver", 80), Rewrite(Destination("192.168.1.1", 3000))),)),
         b"L:61\nRULESET\nversion=1\nrule=rewrite|wwwserver:80|192.168.1.1:3000\n",
     ),
     (
@@ -47,7 +49,10 @@ GOLDEN = [
         b"L:18\nRULESET\nversion=0\n",
     ),
     (
-        RuleSetMsg(12, ("rewrite|wwwserver:80|192.168.1.1:3002", "block|*:25")),
+        RuleSetMsg(12, (
+            Rule(MatchKey("wwwserver", 80), Rewrite(Destination("192.168.1.1", 3002))),
+            Rule(MatchKey("*", 25), Block()),
+        )),
         b"L:78\nRULESET\nversion=12\nrule=rewrite|wwwserver:80|192.168.1.1:3002\nrule=block|*:25\n",
     ),
     (
@@ -73,13 +78,21 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("msg, frame", GOLDEN, ids=lambda v: repr(v)[:48])
+def golden_id(value) -> str:
+    """Show a rule set's rules as grammar lines, as its frame carries them."""
+    if isinstance(value, RuleSetMsg):
+        rules = tuple(format_rule(rule) for rule in value.rules)
+        return f"RuleSetMsg(version={value.version}, rules={rules!r})"[:48]
+    return repr(value)[:48]
+
+
+@pytest.mark.parametrize("msg, frame", GOLDEN, ids=golden_id)
 def test_golden_encode(msg, frame):
     if isinstance(frame, bytes):
         assert encode(msg) == frame
 
 
-@pytest.mark.parametrize("msg, frame", GOLDEN, ids=lambda v: repr(v)[:48])
+@pytest.mark.parametrize("msg, frame", GOLDEN, ids=golden_id)
 def test_golden_decode_and_reencode(msg, frame):
     decoded, rest = decode(frame)
     assert decoded == msg
@@ -102,19 +115,18 @@ def random_message(rng: random.Random) -> wire.Message:
     if kind == 0:
         return Login(name, ip)
     if kind == 1:
-        lines = []
+        rules = []
         used = set()
         for _ in range(rng.randrange(0, 5)):
-            host = rng.choice(["wwwserver", "mail-host", "*", "10.4.5.6"])
-            port = rng.randrange(1, 65536)
-            if (host, port) in used:
+            match = MatchKey(rng.choice(["wwwserver", "mail-host", "*", "10.4.5.6"]), rng.randrange(1, 65536))
+            if match in used:
                 continue
-            used.add((host, port))
+            used.add(match)
             if rng.random() < 0.5:
-                lines.append(f"block|{host}:{port}")
+                rules.append(Rule(match, Block()))
             else:
-                lines.append(f"rewrite|{host}:{port}|127.0.0.1:{rng.randrange(1, 65536)}")
-        return RuleSetMsg(rng.randrange(0, 10_000), tuple(lines))
+                rules.append(Rule(match, Rewrite(Destination("127.0.0.1", rng.randrange(1, 65536)))))
+        return RuleSetMsg(rng.randrange(0, 10_000), tuple(rules))
     if kind == 2:
         return PushNotice()
     if kind == 3:
@@ -169,7 +181,9 @@ def test_decode_never_reads_past_one_frame():
         ErrorMsg("has space", "d"),
         ErrorMsg("c", "line\nbreak"),
         Ack(-1),
-        RuleSetMsg(1, ("not a rule",)),
+        RuleSetMsg(1, (Rule(MatchKey("has space", 80), Block()),)),
+        RuleSetMsg(1, (Rule(MatchKey("h", 0), Block()),)),
+        RuleSetMsg(1, (Rule(MatchKey("h", 80), Rewrite(Destination("name.example", 80))),)),
     ],
 )
 def test_encode_rejects_illegal_fields(msg):
@@ -177,10 +191,41 @@ def test_encode_rejects_illegal_fields(msg):
         encode(msg)
 
 
+# a plausible host with at most one odd character at either end
+HOSTS = st.builds(
+    lambda host, odd, at_end: host + odd if at_end else odd + host,
+    st.sampled_from(["", "*", "wwwserver", "localhost", "127.0.0.1", "10.0.0.256", "1.2.3"]),
+    st.sampled_from(["", ":", "|", " ", "\n", "=", "*", "é"]),
+    st.booleans(),
+)
+PORTS = st.one_of(st.integers(1, 65535), st.sampled_from([0, 65536, -1, True]))
+RULES = st.builds(
+    Rule,
+    st.builds(MatchKey, HOSTS, PORTS),
+    st.one_of(st.just(Block()), st.builds(Rewrite, st.builds(Destination, HOSTS, PORTS))),
+)
+
+
+@given(RULES)
+def test_encode_accepts_a_rule_exactly_when_its_line_parses_back_to_it(rule):
+    try:
+        expected = parse_rule(format_rule(rule)) == rule
+    except RuleSyntaxError:
+        expected = False
+    msg = RuleSetMsg(3, (rule,))
+    try:
+        frame = encode(msg)
+    except IllegalCharacter:
+        assert not expected
+    else:
+        assert expected
+        assert decode(frame) == (msg, b"")
+
+
 def test_encode_rejects_oversized_payload():
-    lines = tuple(f"block|h{i}:80" for i in range(90_000))
+    rules = tuple(Rule(MatchKey(f"h{i}", 80), Block()) for i in range(90_000))
     with pytest.raises(FieldTooLong):
-        encode(RuleSetMsg(1, lines))
+        encode(RuleSetMsg(1, rules))
 
 
 # --- decode-side errors -----------------------------------------------------

@@ -2,18 +2,19 @@
 matching, and the user-vs-client merge that builds an installed rule set.
 
 The rule text grammar is shared by the repository file, the wire protocol,
-and the provisioner:
+and the provisioner, and `RULE_LINE` is its one definition:
 
     rewrite|<match_host>:<match_port>|<new_ip>:<new_port>
     block|<match_host>:<match_port>
 
-ASCII, no internal whitespace; `<match_host>` may be the wildcard `*`.
+A host holds no whitespace, '|' or ':'; `<match_host>` may be the wildcard
+`*`; `<new_ip>` is `localhost` or a dotted-quad IPv4 literal; a port is
+canonical decimal (no sign, no leading zeros) in 1..65535.
 """
 
 from __future__ import annotations
 
 import enum
-import ipaddress
 import re
 from dataclasses import dataclass
 
@@ -21,8 +22,22 @@ PORT_MIN = 1
 PORT_MAX = 65535
 WILDCARD = "*"
 
-# canonical decimal port text: no sign, no leading zeros
-_PORT_RE = re.compile(r"[1-9][0-9]{0,4}\Z")
+# canonical decimal port text (no sign, no leading zeros); range-checked after
+_PORT = r"[1-9][0-9]{0,4}"
+_PORT_RE = re.compile(_PORT)
+# a decimal octet 0..255 in ASCII digits, without leading zeros
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = rf"{_OCTET}(?:\.{_OCTET}){{3}}"
+_IPV4_RE = re.compile(_IPV4)
+# regex \s is exactly str.isspace, so a host may be `*` or non-ASCII
+_HOST = r"[^\s|:]+"
+
+# The rule line: groups 1-2 are a block's host and port, groups 3-6 a
+# rewrite's match host and port and target host and port.
+RULE_LINE = re.compile(
+    rf"block\|({_HOST}):({_PORT})"
+    rf"|rewrite\|({_HOST}):({_PORT})\|(localhost|{_IPV4}):({_PORT})"
+)
 
 
 class RuleSyntaxError(ValueError):
@@ -35,13 +50,7 @@ class DuplicateMatchKey(ValueError):
 
 def is_ipv4(text: str) -> bool:
     """True for a dotted-quad IPv4 literal (four decimal octets)."""
-    if text.count(".") != 3:
-        return False
-    try:
-        ipaddress.IPv4Address(text)
-    except ValueError:
-        return False
-    return True
+    return _IPV4_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,8 @@ class RuleSet:
 
 
 def _host_violations(host: str, *, wildcard_ok: bool = False) -> list[str]:
+    if type(host) is not str:
+        return ["host is not a string"]
     if host == WILDCARD:
         return [] if wildcard_ok else ["wildcard host not allowed here"]
     if not host:
@@ -225,31 +236,46 @@ def _parse_hostport(field: str, what: str) -> tuple[str, int]:
     host, sep, port_text = field.partition(":")
     if not sep:
         raise RuleSyntaxError(f"missing ':' in {what} {field!r}")
-    if not _PORT_RE.match(port_text) or int(port_text) > PORT_MAX:
+    if not _PORT_RE.fullmatch(port_text) or int(port_text) > PORT_MAX:
         raise RuleSyntaxError(f"bad port in {what} {field!r}")
     return host, int(port_text)
 
 
+def _refusal(line: str) -> RuleSyntaxError:
+    """Name what keeps a line out of RULE_LINE. This only words the error:
+    the language parse_rule accepts is the pattern's alone."""
+    verb, *fields = line.split("|")
+    if verb == "block" and len(fields) != 1:
+        return RuleSyntaxError(f"block takes exactly one field: {line!r}")
+    if verb == "rewrite" and len(fields) != 2:
+        return RuleSyntaxError(f"rewrite takes exactly two fields: {line!r}")
+    if verb not in ("block", "rewrite"):
+        return RuleSyntaxError(f"unknown rule verb in {line!r}")
+    try:
+        match = MatchKey(*_parse_hostport(fields[0], "match"))
+        action = Block()
+        if verb == "rewrite":
+            action = Rewrite(Destination(*_parse_hostport(fields[1], "rewrite target")))
+    except RuleSyntaxError as exc:
+        return exc
+    problems = _core_violations(match, action) or ["not a rule line"]
+    return RuleSyntaxError(f"{line!r}: " + "; ".join(problems))
+
+
 def parse_rule(line: str) -> Rule:
     """Parse one rule-grammar line; raises RuleSyntaxError on any deviation."""
-    parts = line.split("|")
-    if parts[0] == "block":
-        if len(parts) != 2:
-            raise RuleSyntaxError(f"block takes exactly one field: {line!r}")
-        host, port = _parse_hostport(parts[1], "match")
-        rule = Rule(MatchKey(host, port), Block())
-    elif parts[0] == "rewrite":
-        if len(parts) != 3:
-            raise RuleSyntaxError(f"rewrite takes exactly two fields: {line!r}")
-        mhost, mport = _parse_hostport(parts[1], "match")
-        thost, tport = _parse_hostport(parts[2], "rewrite target")
-        rule = Rule(MatchKey(mhost, mport), Rewrite(Destination(thost, tport)))
-    else:
-        raise RuleSyntaxError(f"unknown rule verb in {line!r}")
-    problems = _core_violations(rule.match, rule.action)
-    if problems:
-        raise RuleSyntaxError(f"{line!r}: " + "; ".join(problems))
-    return rule
+    m = RULE_LINE.fullmatch(line)
+    if m is not None:
+        host, port, mhost, mport, thost, tport = m.groups()
+        if host is not None:
+            port = int(port)
+            if port <= PORT_MAX:
+                return Rule(MatchKey(host, port), Block())
+        else:
+            mport, tport = int(mport), int(tport)
+            if mport <= PORT_MAX and tport <= PORT_MAX:
+                return Rule(MatchKey(mhost, mport), Rewrite(Destination(thost, tport)))
+    raise _refusal(line)
 
 
 def decide(rules: RuleSet, dst: Destination) -> Decision:

@@ -29,10 +29,13 @@ from .rules import (
     subject_violations,
     user_name_violations,
 )
-from .util import Listener, format_hostport, parse_hostport, setup_logging
+from .util import Listener, format_hostport, parse_hostport, set_send_deadline, setup_logging
 from .wire import Ack, ErrorMsg, IdentityNotice, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.server")
+
+# seconds a send to an agent may make no progress before the session is dropped
+SEND_DEADLINE = 5.0
 
 
 class RepositoryError(Exception):
@@ -67,8 +70,14 @@ def load_repository(path) -> Repository:
     Linear in the file: a rule section's subject is checked once, on its
     first rule line, and duplicate match keys are found through one set per
     (kind, name), which also spans a header repeated later in the file.
+    Lines end at LF only (a trailing CR is stripped with the other edge
+    whitespace); the file must be UTF-8.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RepoParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     policy: PriorityPolicy | None = None
     user_rules: dict[str, list[DacsRule]] = {}
     client_rules: dict[str, list[DacsRule]] = {}
@@ -237,6 +246,8 @@ class DacsServer:
         stream = MessageStream(conn)
         try:
             msg = stream.recv()
+            # the session reader blocks for good; only a send has a deadline
+            set_send_deadline(conn, SEND_DEADLINE)
         except (WireError, OSError) as exc:
             log.warning("bad first frame from %s: %s", peer, exc)
             stream.close()
@@ -259,10 +270,6 @@ class DacsServer:
             return
         except OSError as exc:
             log.warning("login of %s from %s failed: %s", msg.user, msg.client_ip, exc)
-            return
-        try:
-            conn.settimeout(None)
-        except OSError:  # already closed: superseded, dropped or stopped
             return
         self._session_read_loop(session)
 

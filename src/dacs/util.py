@@ -7,6 +7,7 @@ import logging
 import os
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -107,6 +108,15 @@ def clear_deadline(*socks: socket.socket) -> None:
     """Lift the connect/handshake timeout: an established relay has no idle timeout."""
     for sock in socks:
         sock.settimeout(None)
+
+
+def set_send_deadline(sock: socket.socket, seconds: float) -> None:
+    """Make receives block with no timeout, while a send that makes no
+    progress for `seconds` fails with OSError (SO_SNDTIMEO)."""
+    sock.settimeout(None)
+    whole, frac = divmod(seconds, 1)
+    timeval = struct.pack("ll", int(whole), int(frac * 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -12,9 +12,13 @@ import socket
 from dataclasses import dataclass
 
 from .rules import (
+    RULE_LINE,
+    Block,
+    Rewrite,
     Rule,
     RuleSyntaxError,
     _core_violations,
+    _port_ok,
     format_rule,
     group_name_violations,
     is_ipv4,
@@ -119,10 +123,19 @@ def _check_version(value: int) -> int:
 
 
 def _rule_line(rule: Rule) -> str:
-    problems = _core_violations(rule.match, rule.action)
-    if problems:
-        raise IllegalCharacter(f"{rule!r}: " + "; ".join(problems))
-    return format_rule(rule)
+    """Format the rule once and check the line against the rule grammar. With
+    the field types checked too, the line decodes back to this very rule."""
+    match, action = rule.match, rule.action
+    typed = type(match.host) is str and _port_ok(match.port)
+    if type(action) is Rewrite:
+        typed = typed and type(action.new_dst.host) is str and _port_ok(action.new_dst.port)
+    elif type(action) is not Block:
+        typed = False
+    if typed:
+        line = format_rule(rule)
+        if RULE_LINE.fullmatch(line):
+            return line
+    raise IllegalCharacter(f"{rule!r}: " + "; ".join(_core_violations(match, action)))
 
 
 def _check_code(code: str) -> str:

@@ -57,9 +57,9 @@ def test_every_user_name_path_accepts_the_reference_language(repo_file, name):
             lambda: wire.encode(wire.IdentityNotice(name, "1.2.3.4", ()))
         ),
     }
-    # the loader reads universal newlines, strips lines, skips comments and
-    # splits at the first '='
-    if name == name.strip() and not set("\r\n=") & set(name) and name[:1] not in "#[":
+    # the loader ends lines at LF, strips them, skips comments and splits at
+    # the first '='
+    if name == name.strip() and not set("\n=") & set(name) and name[:1] not in "#[":
         paths["server.load_repository [groups] user"] = loads(repo_file, f"{name}=G")
     assert paths == dict.fromkeys(paths, expected)
 
@@ -73,12 +73,10 @@ def test_every_group_name_path_accepts_the_reference_language(repo_file, name):
             lambda: wire.encode(wire.IdentityNotice("u", "1.2.3.4", (name,)))
         ),
     }
-    # in a received list a ',' splits the name and a line feed ends the line;
-    # the loader also ends a line at a carriage return
+    # in a received list a ',' splits the name and a line feed ends the line
     if "," not in name and "\n" not in name:
         paths["wire.decode IDENTITY"] = accepts(
             lambda: wire.decode(frame(f"IDENTITY\nuser=u\nclient_ip=1.2.3.4\ngroups=G,{name},H\n"))
         )
-        if "\r" not in name:
-            paths["server.load_repository [groups] group"] = loads(repo_file, f"u=G,{name},H")
+        paths["server.load_repository [groups] group"] = loads(repo_file, f"u=G,{name},H")
     assert paths == dict.fromkeys(paths, expected)

@@ -1,6 +1,7 @@
 """Repository loading, login composition, sessions, and push semantics."""
 
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import no_resource_warnings, spawn_cli
 from dacs import rules
+from dacs import server as server_module
 from dacs.agent import DacsAgent
 from dacs.rules import (
     Block,
@@ -29,7 +31,7 @@ from dacs.server import (
     push_command,
 )
 from dacs.web import IdentityRegistry, VHostServer
-from dacs.wire import Login, MessageStream, encode
+from dacs.wire import Login, MessageStream, RuleSetMsg, encode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,7 +123,7 @@ def test_bad_client_ip_reported_at_first_rule_line(tmp_path):
 def test_load_checks_each_rule_once_and_each_subject_once(
     tmp_path, monkeypatch, sections, rules_each
 ):
-    calls = {"core": 0, "ipv4": 0}
+    calls = {"parse": 0, "ipv4": 0}
 
     def counting(name, func):
         def wrapper(*args):
@@ -129,7 +131,7 @@ def test_load_checks_each_rule_once_and_each_subject_once(
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(rules, "_core_violations", counting("core", rules._core_violations))
+    monkeypatch.setattr(server_module, "parse_rule", counting("parse", server_module.parse_rule))
     monkeypatch.setattr(rules, "is_ipv4", counting("ipv4", rules.is_ipv4))
     lines = ["[policy]", "priority=client"]
     for k in range(sections):
@@ -137,7 +139,21 @@ def test_load_checks_each_rule_once_and_each_subject_once(
         lines += [f"block|h{i}.example:80" for i in range(rules_each)]
     repo = load_repository(write(tmp_path, "\n".join(lines) + "\n"))
     assert [len(r) for r in repo.client_rules.values()] == [rules_each] * sections
-    assert calls == {"core": sections * rules_each, "ipv4": sections}
+    assert calls == {"parse": sections * rules_each, "ipv4": sections}
+
+
+def test_crlf_line_ends_still_load(tmp_path):
+    path = tmp_path / "crlf.conf"
+    path.write_bytes(FULL.replace("\n", "\r\n").encode("utf-8"))
+    assert load_repository(path) == load_repository(write(tmp_path, FULL))
+
+
+def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "latin.conf"
+    path.write_bytes(b"[policy]\npriority=user\n[user \xff]\nblock|*:25\n")
+    with pytest.raises(RepoParseError) as err:
+        load_repository(path)
+    assert err.value.lineno == 3
 
 
 @pytest.mark.parametrize(
@@ -166,6 +182,7 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
         "[policy]\npriority=user\n[groups]\nu=Group A\n",
         "[policy]\npriority=user\n[groups]\nu=G\nu=H\n",
         "[policy]\npriority=user\n[groups]\nbad name=G\n",
+        "[policy]\npriority=user\n[groups]\nu=G,a\ra=H\n",  # a CR does not end a line
     ],
 )
 def test_invariant_violations(tmp_path, text):
@@ -452,6 +469,65 @@ def test_push_command_reports_reload_error(live):
     repo_path.write_text("not a repository at all\n")
     with pytest.raises(ReloadError):
         push_command(server.control_addr)
+
+
+def test_push_of_a_file_that_is_not_utf8_answers_reload_error(live):
+    server, repo_path, _ = live
+    repo_path.write_bytes(FULL.encode("utf-8") + b"\xff=G\n")
+    with pytest.raises(ReloadError, match="not UTF-8"):
+        push_command(server.control_addr)
+
+
+def test_an_agent_that_stops_reading_does_not_hold_up_the_push(tmp_path, monkeypatch):
+    deadline = 0.5
+    monkeypatch.setattr(server_module, "SEND_DEADLINE", deadline)
+    lines = "".join(f"block|h{i}.{'x' * 200}.example:80\n" for i in range(2000))
+    repo_path = write(tmp_path, "[policy]\npriority=user\n[user u]\n" + lines)
+    server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    healthy = socket.socket()
+    received = []
+    durations = []
+
+    def login(sock, client_ip):
+        sock.connect(server.listen_addr)
+        stream = MessageStream(sock)
+        stream.send(Login("u", client_ip))
+        assert isinstance(stream.recv(), RuleSetMsg)
+        return stream
+
+    def read_pushes(stream):
+        try:
+            while (msg := stream.recv()) is not None:
+                if isinstance(msg, RuleSetMsg):
+                    received.append(msg.version)
+        except OSError:
+            pass
+
+    def push_until_dropped():
+        # each push queues another RULESET for the agent that never reads,
+        # until its socket buffers are full and a send misses the deadline
+        while "10.0.0.1" in server.session_table() and len(durations) < 64:
+            start = time.monotonic()
+            server.admin_push()
+            durations.append(time.monotonic() - start)
+
+    try:
+        login(stalled, "10.0.0.1")  # first in push order
+        reader = threading.Thread(target=read_pushes, args=(login(healthy, "10.0.0.2"),), daemon=True)
+        reader.start()
+        pusher = threading.Thread(target=push_until_dropped, daemon=True)
+        pusher.start()
+        pusher.join(timeout=60)
+        assert not pusher.is_alive()
+        assert list(server.session_table()) == ["10.0.0.2"]
+        assert max(durations) < 2 * deadline + 2.0
+        assert _wait(lambda: len(received) == len(durations))
+    finally:
+        server.stop()
+        stalled.close()
+        healthy.close()
 
 
 def test_identity_failure_never_fails_login(tmp_path):

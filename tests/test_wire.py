@@ -11,7 +11,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from dacs import wire
+from dacs import rules, wire
 from dacs.rules import Block, Destination, MatchKey, Rewrite, Rule, RuleSyntaxError, format_rule, parse_rule
 from dacs.wire import (
     Ack,
@@ -220,6 +220,27 @@ def test_encode_accepts_a_rule_exactly_when_its_line_parses_back_to_it(rule):
     else:
         assert expected
         assert decode(frame) == (msg, b"")
+
+
+def test_encode_checks_each_rule_without_parsing(monkeypatch):
+    calls = []
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        return wrapper
+
+    for module in (rules, wire):
+        monkeypatch.setattr(module, "parse_rule", counting("parse_rule", module.parse_rule))
+        monkeypatch.setattr(module, "_core_violations", counting("core", module._core_violations))
+    msg = RuleSetMsg(1, tuple(
+        Rule(MatchKey(f"h{i}", 80), Rewrite(Destination("127.0.0.1", 1000 + i)) if i % 2 else Block())
+        for i in range(40)
+    ))
+    frame = encode(msg)
+    assert calls == []
+    assert decode(frame) == (msg, b"")
 
 
 def test_encode_rejects_oversized_payload():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 PORT_MIN = 1
 PORT_MAX = 65535
@@ -241,25 +242,22 @@ def _parse_hostport(field: str, what: str) -> tuple[str, int]:
     return host, int(port_text)
 
 
-def _refusal(line: str) -> RuleSyntaxError:
-    """Name what keeps a line out of RULE_LINE. This only words the error:
-    the language parse_rule accepts is the pattern's alone."""
+def _refuse(line: str) -> NoReturn:
+    """Raise RuleSyntaxError naming what keeps a line out of RULE_LINE. This
+    only words the error: the language parse_rule accepts is the pattern's."""
     verb, *fields = line.split("|")
     if verb == "block" and len(fields) != 1:
-        return RuleSyntaxError(f"block takes exactly one field: {line!r}")
+        raise RuleSyntaxError(f"block takes exactly one field: {line!r}")
     if verb == "rewrite" and len(fields) != 2:
-        return RuleSyntaxError(f"rewrite takes exactly two fields: {line!r}")
+        raise RuleSyntaxError(f"rewrite takes exactly two fields: {line!r}")
     if verb not in ("block", "rewrite"):
-        return RuleSyntaxError(f"unknown rule verb in {line!r}")
-    try:
-        match = MatchKey(*_parse_hostport(fields[0], "match"))
-        action = Block()
-        if verb == "rewrite":
-            action = Rewrite(Destination(*_parse_hostport(fields[1], "rewrite target")))
-    except RuleSyntaxError as exc:
-        return exc
+        raise RuleSyntaxError(f"unknown rule verb in {line!r}")
+    match = MatchKey(*_parse_hostport(fields[0], "match"))
+    action = Block()
+    if verb == "rewrite":
+        action = Rewrite(Destination(*_parse_hostport(fields[1], "rewrite target")))
     problems = _core_violations(match, action) or ["not a rule line"]
-    return RuleSyntaxError(f"{line!r}: " + "; ".join(problems))
+    raise RuleSyntaxError(f"{line!r}: " + "; ".join(problems))
 
 
 def parse_rule(line: str) -> Rule:
@@ -275,7 +273,7 @@ def parse_rule(line: str) -> Rule:
             mport, tport = int(mport), int(tport)
             if mport <= PORT_MAX and tport <= PORT_MAX:
                 return Rule(MatchKey(mhost, mport), Rewrite(Destination(thost, tport)))
-    raise _refusal(line)
+    _refuse(line)
 
 
 def decide(rules: RuleSet, dst: Destination) -> Decision:

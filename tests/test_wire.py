@@ -11,7 +11,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from dacs import rules, wire
+from dacs import rules as rules_module, wire
 from dacs.rules import Block, Destination, MatchKey, Rewrite, Rule, RuleSyntaxError, format_rule, parse_rule
 from dacs.wire import (
     Ack,
@@ -231,7 +231,7 @@ def test_encode_checks_each_rule_without_parsing(monkeypatch):
             return func(*args)
         return wrapper
 
-    for module in (rules, wire):
+    for module in (rules_module, wire):
         monkeypatch.setattr(module, "parse_rule", counting("parse_rule", module.parse_rule))
         monkeypatch.setattr(module, "_core_violations", counting("core", module._core_violations))
     msg = RuleSetMsg(1, tuple(

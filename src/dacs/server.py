@@ -29,12 +29,13 @@ from .rules import (
     subject_violations,
     user_name_violations,
 )
-from .util import Listener, format_hostport, parse_hostport, set_send_deadline, setup_logging
-from .wire import Ack, ErrorMsg, IdentityNotice, Login, MessageStream, PushNotice, RuleSetMsg, WireError
+from . import wire  # frames go through wire.encode, so a wrapper on it sees every one
+from .util import Listener, format_hostport, parse_hostport, send_within, setup_logging
+from .wire import Ack, ErrorMsg, IdentityNotice, Login, Message, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.server")
 
-# seconds a send to an agent may make no progress before the session is dropped
+# seconds one write to an agent may take before the session is dropped
 SEND_DEADLINE = 5.0
 
 
@@ -179,8 +180,24 @@ class _Session:
         self.user = user
         self.client_ip = client_ip
         self.stream = stream
-        self.delivered_version = -1
+        self.sent_version = -1  # last rule set version written to the agent
+        self.acked_version = -1  # highest version the agent acked
         self.send_lock = threading.Lock()
+
+    def send(self, *msgs: Message) -> None:
+        """Write the messages' frames as one write, within SEND_DEADLINE.
+
+        One write, because a frame written on its own after a small one
+        would wait under Nagle's algorithm (RFC 896) for the agent's
+        delayed ACK (RFC 1122 4.2.3.2, about 40 ms on Linux): the agent
+        answers nothing until the rule set has arrived. Raises OSError, also
+        for a rule set too large for one frame."""
+        try:
+            data = b"".join([wire.encode(msg) for msg in msgs])
+        except WireError as exc:
+            raise OSError(f"cannot frame the message: {exc}") from exc
+        with self.send_lock:
+            send_within(self.stream.sock, data, SEND_DEADLINE)
 
     def close(self) -> None:
         self.stream.close()
@@ -232,11 +249,13 @@ class DacsServer:
         self._version += 1
         return self._version
 
-    def session_table(self) -> dict[str, tuple[str, int]]:
-        """client_ip -> (user, delivered rule set version); for inspection."""
+    def session_table(self) -> dict[str, tuple[str, int, int]]:
+        """client_ip -> (user, sent version, acked version); for inspection.
+        A rule set the agent rejected leaves the acked version behind."""
         with self._lock:
             return {
-                ip: (s.user, s.delivered_version) for ip, s in self._sessions.items()
+                ip: (s.user, s.sent_version, s.acked_version)
+                for ip, s in self._sessions.items()
             }
 
     # --- agent plane ---
@@ -247,7 +266,7 @@ class DacsServer:
         try:
             msg = stream.recv()
             # the session reader blocks for good; only a send has a deadline
-            set_send_deadline(conn, SEND_DEADLINE)
+            conn.settimeout(None)
         except (WireError, OSError) as exc:
             log.warning("bad first frame from %s: %s", peer, exc)
             stream.close()
@@ -263,7 +282,7 @@ class DacsServer:
             session = self.handle_login(msg.user, msg.client_ip, stream)
         except DuplicateMatchKey as exc:
             try:
-                stream.send(ErrorMsg("merge-error", str(exc)))
+                send_within(conn, wire.encode(ErrorMsg("merge-error", str(exc))), SEND_DEADLINE)
             except OSError:
                 pass
             stream.close()
@@ -290,12 +309,11 @@ class DacsServer:
             log.info("session for %s superseded by %s", client_ip, user)
             old.close()
         try:
-            with session.send_lock:
-                stream.send(RuleSetMsg(ruleset.version, ruleset.rules))
+            session.send(RuleSetMsg(ruleset.version, ruleset.rules))
         except OSError:
             self._drop_session(session)
             raise
-        session.delivered_version = ruleset.version
+        session.sent_version = ruleset.version
         log.info("login %s from %s: %d rules, version %d",
                  user, client_ip, len(ruleset.rules), ruleset.version)
         self._notify_identity(user, client_ip, groups)
@@ -310,7 +328,7 @@ class DacsServer:
             if msg is None:
                 break
             if isinstance(msg, Ack):
-                session.delivered_version = max(session.delivered_version, msg.ref_version)
+                session.acked_version = max(session.acked_version, msg.ref_version)
                 log.debug("ack version %d from %s", msg.ref_version, session.client_ip)
             else:
                 log.warning("unexpected %s from %s", type(msg).__name__, session.client_ip)
@@ -359,9 +377,8 @@ class DacsServer:
             sent = 0
             for session, ruleset in plans:
                 try:
-                    with session.send_lock:
-                        session.stream.send(PushNotice())
-                        session.stream.send(RuleSetMsg(ruleset.version, ruleset.rules))
+                    session.send(PushNotice(), RuleSetMsg(ruleset.version, ruleset.rules))
+                    session.sent_version = ruleset.version
                     sent += 1
                 except OSError as exc:
                     log.warning("push to %s failed: %s", session.client_ip, exc)

@@ -110,13 +110,20 @@ def clear_deadline(*socks: socket.socket) -> None:
         sock.settimeout(None)
 
 
-def set_send_deadline(sock: socket.socket, seconds: float) -> None:
-    """Make receives block with no timeout, while a send that makes no
-    progress for `seconds` fails with OSError (SO_SNDTIMEO)."""
-    sock.settimeout(None)
-    whole, frac = divmod(seconds, 1)
-    timeval = struct.pack("ll", int(whole), int(frac * 1_000_000))
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+def send_within(sock: socket.socket, data: bytes, seconds: float) -> None:
+    """Write all of `data` to a blocking socket within `seconds`, or raise
+    OSError. Each send waits (SO_SNDTIMEO) only for the time left of the one
+    deadline, so a peer that stops reading costs `seconds` however the write
+    splits; receives on the socket keep blocking with no timeout."""
+    deadline = time.monotonic() + seconds
+    view = memoryview(data)
+    while view:
+        left_us = int((deadline - time.monotonic()) * 1_000_000)
+        if left_us <= 0:  # a zero timeval would mean "block forever"
+            raise TimeoutError(f"send missed its {seconds:g} s deadline")
+        timeval = struct.pack("ll", *divmod(left_us, 1_000_000))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+        view = view[sock.send(view):]
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

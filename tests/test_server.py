@@ -1,14 +1,16 @@
 """Repository loading, login composition, sessions, and push semantics."""
 
 import socket
+import statistics
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import no_resource_warnings, spawn_cli
-from dacs import rules
+from dacs import rules, wire
 from dacs import server as server_module
 from dacs.agent import DacsAgent
 from dacs.rules import (
@@ -18,6 +20,7 @@ from dacs.rules import (
     Pass,
     PriorityPolicy,
     Rewrite,
+    Rule,
     decide,
 )
 from dacs.server import (
@@ -31,7 +34,7 @@ from dacs.server import (
     push_command,
 )
 from dacs.web import IdentityRegistry, VHostServer
-from dacs.wire import Login, MessageStream, RuleSetMsg, encode
+from dacs.wire import Login, MessageStream, PushNotice, RuleSetMsg, encode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -203,12 +206,26 @@ def test_failed_login_send_drops_the_session(tmp_path):
         server.stop()
 
 
+def test_a_rule_set_too_large_for_one_frame_fails_the_login_like_a_send(tmp_path, monkeypatch):
+    monkeypatch.setattr(wire, "FRAME_LIMIT", 8)
+    server = DacsServer(write(tmp_path, MINIMAL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    ours, peer = socket.socketpair()
+    try:
+        with pytest.raises(OSError):
+            server.handle_login("u", "192.168.10.9", MessageStream(ours))
+        assert server.session_table() == {}
+        assert ours.fileno() == -1
+    finally:
+        peer.close()
+        server.stop()
+
+
 def test_failed_push_send_drops_the_session(tmp_path):
     server = DacsServer(write(tmp_path, MINIMAL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
     ours, peer = socket.socketpair()
     try:
         server.handle_login("u", "192.168.10.9", MessageStream(ours))
-        assert server.session_table() == {"192.168.10.9": ("u", 1)}
+        assert server.session_table() == {"192.168.10.9": ("u", 1, -1)}
         peer.close()
         assert server.admin_push() == 0
         assert server.session_table() == {}
@@ -233,7 +250,7 @@ def test_session_superseded_before_its_read_loop_ends_quietly(tmp_path, monkeypa
     try:
         first_peer.sendall(encode(Login("u", "192.168.10.9")))
         server._agent_conn(first, ("192.168.10.9", 1))  # returns, raises nothing
-        assert server.session_table() == {"192.168.10.9": ("v", 2)}
+        assert server.session_table() == {"192.168.10.9": ("v", 2, -1)}
     finally:
         first_peer.close()
         second_peer.close()
@@ -528,6 +545,128 @@ def test_an_agent_that_stops_reading_does_not_hold_up_the_push(tmp_path, monkeyp
         server.stop()
         stalled.close()
         healthy.close()
+
+
+def test_a_stalled_agent_costs_a_push_one_send_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "SEND_DEADLINE", 1.0)
+    lines = "".join(f"block|h{i}.{'x' * 200}.example:80\n" for i in range(2000))
+    repo_path = write(tmp_path, "[policy]\npriority=user\n[user u]\n" + lines)
+    server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    durations = []
+    try:
+        stalled.connect(server.listen_addr)
+        stream = MessageStream(stalled)
+        stream.send(Login("u", "10.0.0.1"))
+        assert isinstance(stream.recv(), RuleSetMsg)
+        # the agent never reads again: pushes queue up until one write
+        # misses the deadline, partial sends and all
+        while server.session_table() and len(durations) < 64:
+            start = time.monotonic()
+            server.admin_push()
+            durations.append(time.monotonic() - start)
+        assert server.session_table() == {}
+        assert durations[-1] < 1.5
+    finally:
+        server.stop()
+        stalled.close()
+
+
+class _CountingSocket:
+    """Stands in for a session socket, whose methods cannot be patched, and
+    counts the writes made on it."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.writes = 0
+
+    def send(self, data, *flags):
+        self.writes += 1
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self.writes += 1
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_push_is_one_write_per_session(tmp_path):
+    server = DacsServer(write(tmp_path, FULL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    sessions = []
+    try:
+        for client_ip in ("10.0.0.1", "10.0.0.2"):
+            ours, peer = socket.socketpair()
+            peer.settimeout(5)
+            counting = _CountingSocket(ours)
+            sessions.append((counting, MessageStream(peer)))
+            server.handle_login("userA", client_ip, MessageStream(counting))
+        assert [counting.writes for counting, _ in sessions] == [1, 1]
+        assert server.admin_push() == 2
+        assert [counting.writes for counting, _ in sessions] == [2, 2]
+        for _, peer in sessions:  # the same frames in the same order
+            assert isinstance(peer.recv(), RuleSetMsg)
+            assert peer.recv() == PushNotice()
+            assert isinstance(peer.recv(), RuleSetMsg)
+    finally:
+        for _, peer in sessions:
+            peer.close()
+        server.stop()
+
+
+def test_a_push_is_installed_without_waiting_for_a_delayed_ack(tmp_path):
+    lines = "".join(f"block|h{i}.example:80\n" for i in range(10))
+    repo_path = write(tmp_path, "[policy]\npriority=user\n[user u]\n" + lines)
+    server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    agent = DacsAgent(server.listen_addr, "u", "10.0.0.1")
+    agent.login()
+    latencies = []
+    try:
+        for _ in range(5):
+            before = agent.installed.snapshot.version
+            start = time.monotonic()
+            server.admin_push()
+            while agent.installed.snapshot.version == before:
+                assert time.monotonic() - start < 5
+                time.sleep(0.0005)
+            latencies.append(time.monotonic() - start)
+        # a second write held back by Nagle's algorithm until the agent's
+        # delayed ACK fires would put about 40 ms under every push
+        assert statistics.median(latencies) < 0.020
+    finally:
+        agent.close()
+        server.stop()
+
+
+def test_a_push_the_agent_rejects_is_sent_but_not_acked(live, monkeypatch, caplog):
+    server, _, _ = live
+    agent = DacsAgent(server.listen_addr, "userA", "10.0.0.31")
+    agent.login()
+    compose = server_module.compose_login_rules
+
+    def with_a_duplicate_key(repo, user, client_ip, version):
+        ruleset = compose(repo, user, client_ip, version)
+        twin = Rule(ruleset.rules[0].match, Block())
+        return SimpleNamespace(version=version, rules=ruleset.rules + (twin,))
+
+    def versions():
+        return server.session_table()["10.0.0.31"][1:]
+
+    try:
+        assert _wait(lambda: versions() == (1, 1))
+        monkeypatch.setattr(server_module, "compose_login_rules", with_a_duplicate_key)
+        assert server.admin_push() == 1
+        assert _wait(lambda: "pushed rule set rejected" in caplog.text)
+        sent, acked = versions()
+        assert acked < sent
+        monkeypatch.undo()
+        assert server.admin_push() == 1
+        assert _wait(lambda: versions()[1] > sent)
+        assert versions()[0] == versions()[1]
+    finally:
+        agent.close()
 
 
 def test_identity_failure_never_fails_login(tmp_path):

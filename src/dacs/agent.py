@@ -11,6 +11,7 @@ original destination names; what changes is where the bytes go.
 from __future__ import annotations
 
 import base64
+import collections
 import json
 import logging
 import socket
@@ -38,6 +39,8 @@ log = logging.getLogger("dacs.agent")
 
 DEFAULT_CONTROL = ("127.0.0.1", 47901)
 PREAMBLE_FORMAT = "DACS1 %s\n"
+# dials kept in DacsAgent.dial_log; older ones are dropped first
+DIAL_LOG_MAX = 1000
 
 
 class BlockedError(Exception):
@@ -120,7 +123,7 @@ class DacsAgent:
         self.user = user
         self.client_ip = client_ip
         self.preamble = preamble
-        self.dial_log: list[VirtualDial] = []
+        self.dial_log: collections.deque[VirtualDial] = collections.deque(maxlen=DIAL_LOG_MAX)
         self.connected = False
         self._installed = InstalledRules(RuleSet(0, ()), {})
         self._install_lock = threading.Lock()

@@ -236,9 +236,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         fetched = {group: 0 for group in groups}
         shared_dials = []
         for user, agent in zip(cfg.users, agents):
-            dial_index = len(agent.dial_log)
             status, body = _fetch(agent, shared, "/cgi-bin/counter")
-            shared_dials.append(agent.dial_log[dial_index])
+            shared_dials.append(agent.dial_log[-1])
             report.bodies[user.name] = body
             fetched[user.group] += 1
             expected = str(cfg.seed_counters.get(user.group, 0) + fetched[user.group])

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass
 from typing import NoReturn
 
-PORT_MIN = 1
 PORT_MAX = 65535
 WILDCARD = "*"
 
@@ -32,12 +31,15 @@ _IPV4 = rf"{_OCTET}(?:\.{_OCTET}){{3}}"
 _IPV4_RE = re.compile(_IPV4)
 # regex \s is exactly str.isspace, so a host may be `*` or non-ASCII
 _HOST = r"[^\s|:]+"
+_HOST_RE = re.compile(_HOST)
+_TARGET = rf"localhost|{_IPV4}"
+_TARGET_RE = re.compile(_TARGET)
 
 # The rule line: groups 1-2 are a block's host and port, groups 3-6 a
 # rewrite's match host and port and target host and port.
 RULE_LINE = re.compile(
     rf"block\|({_HOST}):({_PORT})"
-    rf"|rewrite\|({_HOST}):({_PORT})\|(localhost|{_IPV4}):({_PORT})"
+    rf"|rewrite\|({_HOST}):({_PORT})\|({_TARGET}):({_PORT})"
 )
 
 
@@ -93,31 +95,10 @@ Decision = Pass | Rewrite | Block
 
 
 @dataclass(frozen=True)
-class User:
-    name: str
-
-
-@dataclass(frozen=True)
-class Client:
-    ip: str
-
-
-Subject = User | Client
-
-
-@dataclass(frozen=True)
 class Rule:
-    """A subject-free rule: the form carried on the wire and installed on agents."""
+    """One rule line: the form held by the repository, carried on the wire and
+    installed on agents."""
 
-    match: MatchKey
-    action: RuleAction
-
-
-@dataclass(frozen=True)
-class DacsRule:
-    """A repository entry: a rule attributed to a user or to a client IP."""
-
-    subject: Subject
     match: MatchKey
     action: RuleAction
 
@@ -147,47 +128,6 @@ class RuleSet:
             seen.add(rule.match)
 
 
-def _host_violations(host: str, *, wildcard_ok: bool = False) -> list[str]:
-    if type(host) is not str:
-        return ["host is not a string"]
-    if host == WILDCARD:
-        return [] if wildcard_ok else ["wildcard host not allowed here"]
-    if not host:
-        return ["empty host"]
-    problems = []
-    if any(c.isspace() for c in host):
-        problems.append("whitespace in host")
-    if "|" in host:
-        problems.append("'|' in host")
-    if ":" in host:
-        problems.append("':' in host")
-    return problems
-
-
-def _port_ok(port: object) -> bool:
-    # a bool is an int, but would not format as a port
-    return type(port) is int and PORT_MIN <= port <= PORT_MAX
-
-
-def _core_violations(match: MatchKey, action: RuleAction) -> list[str]:
-    """Invariant checks shared by Rule and DacsRule (everything but the subject).
-
-    A rule that passes formats to a line that parse_rule maps back to it."""
-    problems = [f"match host: {p}" for p in _host_violations(match.host, wildcard_ok=True)]
-    if not _port_ok(match.port):
-        problems.append("match port out of range")
-    if isinstance(action, Rewrite):
-        dst = action.new_dst
-        problems += [f"rewrite target: {p}" for p in _host_violations(dst.host)]
-        if dst.host != "localhost" and not is_ipv4(dst.host):
-            problems.append("rewrite target host must be an IPv4 literal or localhost")
-        if not _port_ok(dst.port):
-            problems.append("rewrite target port out of range")
-    elif not isinstance(action, Block):
-        problems.append("unknown action kind")
-    return problems
-
-
 def _name_violations(name: str, what: str, separators: str) -> list[str]:
     if not name:
         return [f"empty {what}"]
@@ -207,57 +147,37 @@ def group_name_violations(name: str) -> list[str]:
     return _name_violations(name, "group name", "|=,")
 
 
-def subject_violations(subject: Subject) -> list[str]:
-    """Name every violated invariant of a rule subject (user name or client IP)."""
-    if isinstance(subject, User):
-        return user_name_violations(subject.name)
-    if isinstance(subject, Client):
-        return [] if is_ipv4(subject.ip) else ["client ip is not a dotted-quad IPv4 literal"]
-    return ["unknown subject kind"]
-
-
-def validate_rule(rule: DacsRule) -> list[str]:
-    """Name every violated invariant; an empty list means the rule is valid."""
-    return subject_violations(rule.subject) + _core_violations(rule.match, rule.action)
-
-
 def format_match(key: MatchKey) -> str:
     return f"{key.host}:{key.port}"
 
 
-def format_rule(rule: Rule | DacsRule) -> str:
-    """Render match+action as one grammar line (any subject is not serialized)."""
+def format_rule(rule: Rule) -> str:
+    """Render match+action as one grammar line."""
     if isinstance(rule.action, Block):
         return f"block|{rule.match.host}:{rule.match.port}"
     dst = rule.action.new_dst
     return f"rewrite|{rule.match.host}:{rule.match.port}|{dst.host}:{dst.port}"
 
 
-def _parse_hostport(field: str, what: str) -> tuple[str, int]:
-    host, sep, port_text = field.partition(":")
-    if not sep:
-        raise RuleSyntaxError(f"missing ':' in {what} {field!r}")
-    if not _PORT_RE.fullmatch(port_text) or int(port_text) > PORT_MAX:
-        raise RuleSyntaxError(f"bad port in {what} {field!r}")
-    return host, int(port_text)
-
-
 def _refuse(line: str) -> NoReturn:
-    """Raise RuleSyntaxError naming what keeps a line out of RULE_LINE. This
-    only words the error: the language parse_rule accepts is the pattern's."""
+    """Raise RuleSyntaxError naming what keeps a line out of RULE_LINE. It
+    words the error from the sub-patterns RULE_LINE is built from; the
+    language parse_rule accepts is the pattern's alone."""
     verb, *fields = line.split("|")
-    if verb == "block" and len(fields) != 1:
-        raise RuleSyntaxError(f"block takes exactly one field: {line!r}")
-    if verb == "rewrite" and len(fields) != 2:
-        raise RuleSyntaxError(f"rewrite takes exactly two fields: {line!r}")
-    if verb not in ("block", "rewrite"):
+    hosts = {"block": (_HOST_RE,), "rewrite": (_HOST_RE, _TARGET_RE)}.get(verb)
+    if hosts is None:
         raise RuleSyntaxError(f"unknown rule verb in {line!r}")
-    match = MatchKey(*_parse_hostport(fields[0], "match"))
-    action = Block()
-    if verb == "rewrite":
-        action = Rewrite(Destination(*_parse_hostport(fields[1], "rewrite target")))
-    problems = _core_violations(match, action) or ["not a rule line"]
-    raise RuleSyntaxError(f"{line!r}: " + "; ".join(problems))
+    if len(fields) != len(hosts):
+        raise RuleSyntaxError(f"{verb} takes exactly {len(hosts)} field(s): {line!r}")
+    for field, host_re, what in zip(fields, hosts, ("match", "rewrite target")):
+        host, sep, port = field.partition(":")
+        if not sep:
+            raise RuleSyntaxError(f"missing ':' in {what} {field!r}")
+        if not host_re.fullmatch(host):
+            raise RuleSyntaxError(f"bad host in {what} {field!r}")
+        if not _PORT_RE.fullmatch(port) or int(port) > PORT_MAX:
+            raise RuleSyntaxError(f"bad port in {what} {field!r}")
+    raise RuleSyntaxError(f"not a rule line: {line!r}")
 
 
 def parse_rule(line: str) -> Rule:
@@ -290,35 +210,31 @@ def decide(rules: RuleSet, dst: Destination) -> Decision:
     return wildcard_action if wildcard_action is not None else Pass()
 
 
-def _index_by_match(entries, side: str) -> dict[MatchKey, DacsRule]:
-    index: dict[MatchKey, DacsRule] = {}
-    for entry in entries:
-        if entry.match in index:
-            raise DuplicateMatchKey(f"{side} rules repeat {format_match(entry.match)}")
-        index[entry.match] = entry
-    return index
-
-
-def merge_rules(user_rules, client_rules, policy: PriorityPolicy, *, version: int = 0) -> RuleSet:
+def merge_rules(
+    user_rules: list[Rule], client_rules: list[Rule], policy: PriorityPolicy, *, version: int = 0
+) -> RuleSet:
     """Fold a user's and a client's rules into one installed set.
 
     Rules conflict exactly when their match keys are equal. The conflicting
     position keeps the user's action under USER priority and the client's
     under CLIENT priority; identical rules collapse to one copy regardless.
     Output order: user-side keys in input order, then client-only keys in
-    input order. Subjects are erased: the installed set does not distinguish
-    where a rule came from.
+    input order. The set holds the input rules themselves, so it does not
+    tell where a rule came from. A side that repeats a match key raises
+    DuplicateMatchKey.
     """
-    user_index = _index_by_match(user_rules, "user")
-    client_index = _index_by_match(client_rules, "client")
+    user_keys = {rule.match for rule in user_rules}
+    if len(user_keys) < len(user_rules):
+        raise DuplicateMatchKey("user rules repeat a match key")
+    client_index = {rule.match: rule for rule in client_rules}
+    if len(client_index) < len(client_rules):
+        raise DuplicateMatchKey("client rules repeat a match key")
     merged: list[Rule] = []
-    for entry in user_rules:
-        other = client_index.get(entry.match)
-        if other is None or other.action == entry.action or policy is PriorityPolicy.USER:
-            merged.append(Rule(entry.match, entry.action))
+    for rule in user_rules:
+        other = client_index.get(rule.match)
+        if other is None or other.action == rule.action or policy is PriorityPolicy.USER:
+            merged.append(rule)
         else:
-            merged.append(Rule(entry.match, other.action))
-    for entry in client_rules:
-        if entry.match not in user_index:
-            merged.append(Rule(entry.match, entry.action))
+            merged.append(other)
+    merged += [rule for rule in client_rules if rule.match not in user_keys]
     return RuleSet(version=version, rules=tuple(merged))

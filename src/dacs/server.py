@@ -15,18 +15,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import (
-    Client,
-    DacsRule,
-    DuplicateMatchKey,
     MatchKey,
     PriorityPolicy,
+    Rule,
     RuleSet,
     RuleSyntaxError,
-    User,
     group_name_violations,
+    is_ipv4,
     merge_rules,
     parse_rule,
-    subject_violations,
     user_name_violations,
 )
 from . import wire  # frames go through wire.encode, so a wrapper on it sees every one
@@ -60,17 +57,19 @@ class ReloadError(RepositoryError):
 @dataclass
 class Repository:
     policy: PriorityPolicy
-    user_rules: dict[str, list[DacsRule]] = field(default_factory=dict)
-    client_rules: dict[str, list[DacsRule]] = field(default_factory=dict)
+    user_rules: dict[str, list[Rule]] = field(default_factory=dict)
+    client_rules: dict[str, list[Rule]] = field(default_factory=dict)
     groups: dict[str, list[str]] = field(default_factory=dict)
 
 
 def load_repository(path) -> Repository:
     """Parse and fully validate a repository file; any violation aborts.
 
-    Linear in the file: a rule section's subject is checked once, on its
-    first rule line, and duplicate match keys are found through one set per
-    (kind, name), which also spans a header repeated later in the file.
+    Linear in the file: a rule section's name (a user name or a client IPv4
+    literal) is checked once, on its first rule line, and duplicate match
+    keys are found through one set per (kind, name), which also spans a
+    header repeated later in the file. Each section holds the rules that
+    parse_rule returned.
     Lines end at LF only (a trailing CR is stripped with the other edge
     whitespace); the file must be UTF-8.
     """
@@ -80,12 +79,12 @@ def load_repository(path) -> Repository:
     except UnicodeDecodeError as exc:
         raise RepoParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     policy: PriorityPolicy | None = None
-    user_rules: dict[str, list[DacsRule]] = {}
-    client_rules: dict[str, list[DacsRule]] = {}
+    user_rules: dict[str, list[Rule]] = {}
+    client_rules: dict[str, list[Rule]] = {}
     groups: dict[str, list[str]] = {}
     section: tuple | None = None
     seen_keys: dict[tuple, set[MatchKey]] = {}
-    subject = None  # the current rule section's subject, once checked
+    entries: list[Rule] | None = None  # the current rule section's, once its name is checked
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -103,7 +102,7 @@ def load_repository(path) -> Repository:
                 section = ("client", header[7:].strip())
             else:
                 raise RepoParseError(lineno, f"unknown section {line!r}")
-            subject = None
+            entries = None
             continue
         if section is None:
             raise RepoParseError(lineno, "content before any section header")
@@ -123,20 +122,23 @@ def load_repository(path) -> Repository:
                 rule = parse_rule(line)
             except RuleSyntaxError as exc:
                 raise RepoParseError(lineno, str(exc)) from None
-            if subject is None:
-                subject = User(section[1]) if section[0] == "user" else Client(section[1])
-                problems = subject_violations(subject)
+            if entries is None:
+                kind, name = section
+                if kind == "user":
+                    problems = user_name_violations(name)
+                else:
+                    problems = [] if is_ipv4(name) else ["client ip is not a dotted-quad IPv4 literal"]
                 if problems:
                     raise InvariantViolation(f"line {lineno}: " + "; ".join(problems))
-                bucket = user_rules if section[0] == "user" else client_rules
-                entries = bucket.setdefault(section[1], [])
+                bucket = user_rules if kind == "user" else client_rules
+                entries = bucket.setdefault(name, [])
                 seen = seen_keys.setdefault(section, set())
             if rule.match in seen:
                 raise InvariantViolation(
                     f"line {lineno}: duplicate match key for {section[0]} {section[1]}"
                 )
             seen.add(rule.match)
-            entries.append(DacsRule(subject, rule.match, rule.action))
+            entries.append(rule)
         else:  # groups
             name, sep, value = line.partition("=")
             if not sep:
@@ -280,13 +282,6 @@ class DacsServer:
             return
         try:
             session = self.handle_login(msg.user, msg.client_ip, stream)
-        except DuplicateMatchKey as exc:
-            try:
-                send_within(conn, wire.encode(ErrorMsg("merge-error", str(exc))), SEND_DEADLINE)
-            except OSError:
-                pass
-            stream.close()
-            return
         except OSError as exc:
             log.warning("login of %s from %s failed: %s", msg.user, msg.client_ip, exc)
             return

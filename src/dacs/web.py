@@ -243,7 +243,7 @@ def run_cgi(script_path: Path, env: dict[str, str], body: bytes | None, timeout:
 
 
 class _LineReader:
-    """Buffered line/byte reads over a socket, with pushback for the preamble."""
+    """Buffered line/byte reads over a socket."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -274,9 +274,6 @@ class _LineReader:
             self.buf += chunk
         data, self.buf = self.buf[:n], self.buf[n:]
         return data
-
-    def push_back(self, data: bytes) -> None:
-        self.buf = data + self.buf
 
 
 class VHostServer:
@@ -356,15 +353,14 @@ class VHostServer:
     def _handle_request(self, binding: VHostBinding, conn: socket.socket, peer):
         reader = _LineReader(conn)
         remote_addr = peer[0]
+        line = reader.readline(_HEADER_LINE_LIMIT)
         if binding.preamble:
-            line = reader.readline(64)
             match = _PREAMBLE_RE.fullmatch(line)
             if match and is_ipv4(match.group(1).decode("ascii")):
                 remote_addr = match.group(1).decode("ascii")
-            else:
-                reader.push_back(line)  # not a preamble; treat as HTTP start
-
-        request_line = reader.readline(_HEADER_LINE_LIMIT).rstrip(b"\r\n").decode("latin-1")
+                line = reader.readline(_HEADER_LINE_LIMIT)
+            # otherwise the first line is not a preamble but the request line
+        request_line = line.rstrip(b"\r\n").decode("latin-1")
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _BadRequest(f"bad request line {request_line!r}")

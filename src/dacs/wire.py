@@ -12,13 +12,13 @@ import socket
 from dataclasses import dataclass
 
 from .rules import (
+    PORT_MAX,
     RULE_LINE,
     Block,
     Rewrite,
     Rule,
     RuleSyntaxError,
-    _core_violations,
-    _port_ok,
+    _refuse,
     format_rule,
     group_name_violations,
     is_ipv4,
@@ -126,16 +126,24 @@ def _rule_line(rule: Rule) -> str:
     """Format the rule once and check the line against the rule grammar. With
     the field types checked too, the line decodes back to this very rule."""
     match, action = rule.match, rule.action
-    typed = type(match.host) is str and _port_ok(match.port)
+    # a bool is an int, but would not format as a port
+    typed = type(match.host) is str and type(match.port) is int
+    in_range = typed and match.port <= PORT_MAX
     if type(action) is Rewrite:
-        typed = typed and type(action.new_dst.host) is str and _port_ok(action.new_dst.port)
+        dst = action.new_dst
+        typed = typed and type(dst.host) is str and type(dst.port) is int
+        in_range = in_range and typed and dst.port <= PORT_MAX
     elif type(action) is not Block:
         typed = False
-    if typed:
-        line = format_rule(rule)
-        if RULE_LINE.fullmatch(line):
-            return line
-    raise IllegalCharacter(f"{rule!r}: " + "; ".join(_core_violations(match, action)))
+    if not typed:
+        raise IllegalCharacter(f"{rule!r}: a field has the wrong type")
+    line = format_rule(rule)
+    if in_range and RULE_LINE.fullmatch(line):
+        return line
+    try:
+        _refuse(line)
+    except RuleSyntaxError as exc:
+        raise IllegalCharacter(str(exc)) from None
 
 
 def _check_code(code: str) -> str:

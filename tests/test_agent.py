@@ -177,6 +177,16 @@ def test_blocked_dial_is_silent_at_the_wire(agent):
     canary.close()
 
 
+def test_dial_log_keeps_the_latest_dials_only(agent):
+    agent.install_ruleset(ruleset(1, Rule(MatchKey("*", 9), Block())))
+    for i in range(agent_module.DIAL_LOG_MAX + 1):
+        with pytest.raises(BlockedError):
+            agent.open_connection(Destination(f"h{i}", 9))
+    assert len(agent.dial_log) == agent_module.DIAL_LOG_MAX
+    assert agent.dial_log[0].requested == Destination("h1", 9)
+    assert agent.dial_log[-1].requested == Destination(f"h{agent_module.DIAL_LOG_MAX}", 9)
+
+
 def test_blocked_and_connect_errors_are_distinct(agent):
     agent.install_ruleset(ruleset(1, Rule(MatchKey("gone", 9), Block())))
     with pytest.raises(BlockedError):

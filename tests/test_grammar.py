@@ -1,11 +1,13 @@
 """The rule-line grammar and the IPv4 literal check accept exactly the
 languages of reference implementations written here, independently of the
 implementation: a structural parser (split, partition, a port pattern and
-`ipaddress`) for rule lines, and `ipaddress.IPv4Address` for IPv4 text."""
+`ipaddress`) for rule lines, and `ipaddress.IPv4Address` for IPv4 text, also
+where the repository loader checks a `[client <ip>]` section's name."""
 
 import ipaddress
 import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 from dacs.rules import (
@@ -18,6 +20,7 @@ from dacs.rules import (
     is_ipv4,
     parse_rule,
 )
+from dacs.server import RepositoryError, load_repository
 
 # --- references --------------------------------------------------------------
 
@@ -120,6 +123,23 @@ def test_parse_rule_agrees_with_the_reference_on_odd_text(line):
     assert parsed(line) == ref_parse_rule(line)
 
 
+@pytest.fixture(scope="module")
+def repo_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar") / "repo.conf"
+
+
+def loads_client(path, ip: str) -> bool:
+    path.write_text(f"[policy]\npriority=user\n[client {ip}]\nblock|*:25\n", encoding="utf-8")
+    try:
+        load_repository(path)
+    except RepositoryError:
+        return False
+    return True
+
+
 @given(IPV4_TEXT)
-def test_is_ipv4_accepts_exactly_what_ipaddress_accepts(text):
+def test_is_ipv4_accepts_exactly_what_ipaddress_accepts(repo_file, text):
     assert is_ipv4(text) == ref_is_ipv4(text)
+    # the loader ends lines at LF and strips a section header
+    if text == text.strip() and "\n" not in text:
+        assert loads_client(repo_file, text) == ref_is_ipv4(text)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dacs import wire
-from dacs.rules import User, group_name_violations, subject_violations, user_name_violations
+from dacs.rules import group_name_violations, user_name_violations
 from dacs.server import RepositoryError, load_repository
 
 USER_NAME = re.compile(r"[^\s|=]+")
@@ -38,8 +38,8 @@ def frame(payload: str) -> bytes:
     return b"L:%d\n%s" % (len(data), data)
 
 
-def loads(path, groups_line: str) -> bool:
-    path.write_text(f"[policy]\npriority=user\n[groups]\n{groups_line}\n", encoding="utf-8")
+def loads(path, section: str) -> bool:
+    path.write_text(f"[policy]\npriority=user\n{section}\n", encoding="utf-8")
     return accepts(lambda: load_repository(path))
 
 
@@ -48,7 +48,6 @@ def test_every_user_name_path_accepts_the_reference_language(repo_file, name):
     expected = USER_NAME.fullmatch(name) is not None
     paths = {
         "rules.user_name_violations": not user_name_violations(name),
-        "rules.subject_violations": not subject_violations(User(name)),
         "wire.encode LOGIN": accepts(lambda: wire.encode(wire.Login(name, "1.2.3.4"))),
         "wire.decode LOGIN": accepts(
             lambda: wire.decode(frame(f"LOGIN\nuser={name}\nclient_ip=1.2.3.4\n"))
@@ -60,7 +59,10 @@ def test_every_user_name_path_accepts_the_reference_language(repo_file, name):
     # the loader ends lines at LF, strips them, skips comments and splits at
     # the first '='
     if name == name.strip() and not set("\n=") & set(name) and name[:1] not in "#[":
-        paths["server.load_repository [groups] user"] = loads(repo_file, f"{name}=G")
+        paths["server.load_repository [groups] user"] = loads(repo_file, f"[groups]\n{name}=G")
+    # a header is stripped, and a user section's name is checked at its first rule
+    if name == name.strip() and "\n" not in name:
+        paths["server.load_repository [user] header"] = loads(repo_file, f"[user {name}]\nblock|*:25")
     assert paths == dict.fromkeys(paths, expected)
 
 
@@ -78,5 +80,5 @@ def test_every_group_name_path_accepts_the_reference_language(repo_file, name):
         paths["wire.decode IDENTITY"] = accepts(
             lambda: wire.decode(frame(f"IDENTITY\nuser=u\nclient_ip=1.2.3.4\ngroups=G,{name},H\n"))
         )
-        paths["server.load_repository [groups] group"] = loads(repo_file, f"u=G,{name},H")
+        paths["server.load_repository [groups] group"] = loads(repo_file, f"[groups]\nu=G,{name},H")
     assert paths == dict.fromkeys(paths, expected)

@@ -1,4 +1,4 @@
-"""Rule model: validation, grammar, matching, and the priority merge.
+"""Rule model: name checks, grammar, matching, and the priority merge.
 
 The merge and decide checks compare against independent oracles written
 before the implementations: a scan-all-candidates matcher and a
@@ -12,8 +12,6 @@ import pytest
 
 from dacs.rules import (
     Block,
-    Client,
-    DacsRule,
     Destination,
     DuplicateMatchKey,
     MatchKey,
@@ -23,12 +21,11 @@ from dacs.rules import (
     Rule,
     RuleSet,
     RuleSyntaxError,
-    User,
     decide,
     format_rule,
     merge_rules,
     parse_rule,
-    validate_rule,
+    user_name_violations,
 )
 
 # --- independent oracles -------------------------------------------------
@@ -71,55 +68,21 @@ def oracle_merge(user_rules, client_rules, policy):
     return tuple(out)
 
 
-# --- validation ----------------------------------------------------------
-
-
-def test_validate_figure11_rule_is_ok():
-    rule = DacsRule(
-        User("userA"),
-        MatchKey("wwwserver", 80),
-        Rewrite(Destination("192.168.1.1", 3000)),
-    )
-    assert validate_rule(rule) == []
-
-
-def test_validate_names_port_out_of_range():
-    rule = DacsRule(User("userA"), MatchKey("wwwserver", 0), Block())
-    assert any("port out of range" in p for p in validate_rule(rule))
-
-
-def test_validate_names_empty_user():
-    rule = DacsRule(User(""), MatchKey("wwwserver", 80), Block())
-    assert "empty user name" in validate_rule(rule)
+# --- names -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "rule, fragment",
+    "name, problem",
     [
-        (DacsRule(User("a b"), MatchKey("h", 80), Block()), "whitespace in user name"),
-        (DacsRule(User("a|b"), MatchKey("h", 80), Block()), "'|' in user name"),
-        (DacsRule(User("a=b"), MatchKey("h", 80), Block()), "'=' in user name"),
-        (DacsRule(Client("999.1.1.1"), MatchKey("h", 80), Block()), "dotted-quad"),
-        (DacsRule(Client("not-an-ip"), MatchKey("h", 80), Block()), "dotted-quad"),
-        (DacsRule(User("u"), MatchKey("h:h", 80), Block()), "':' in host"),
-        (DacsRule(User("u"), MatchKey("", 80), Block()), "empty host"),
-        (
-            DacsRule(User("u"), MatchKey("h", 80), Rewrite(Destination("name.example", 80))),
-            "IPv4 literal or localhost",
-        ),
-        (
-            DacsRule(User("u"), MatchKey("h", 80), Rewrite(Destination("10.0.0.1", 70000))),
-            "port out of range",
-        ),
+        ("", "empty user name"),
+        ("a b", "whitespace in user name"),
+        ("a|b", "'|' in user name"),
+        ("a=b", "'=' in user name"),
     ],
 )
-def test_validate_violations(rule, fragment):
-    assert any(fragment in p for p in validate_rule(rule))
-
-
-def test_rewrite_target_localhost_allowed():
-    rule = DacsRule(User("u"), MatchKey("svc", 9000), Rewrite(Destination("localhost", 15000)))
-    assert validate_rule(rule) == []
+def test_user_name_violations_name_the_problem(name, problem):
+    assert user_name_violations("userA") == []
+    assert problem in user_name_violations(name)
 
 
 # --- grammar -------------------------------------------------------------
@@ -229,49 +192,55 @@ def test_decide_deterministic_over_random_sets():
 # --- merge ---------------------------------------------------------------
 
 
-def _user_rule(match, action):
-    return DacsRule(User("u"), match, action)
-
-
-def _client_rule(match, action):
-    return DacsRule(Client("10.0.0.2"), match, action)
-
-
 W80 = MatchKey("w", 80)
 A = Rewrite(Destination("10.0.0.1", 81))
 B = Rewrite(Destination("10.0.0.2", 82))
 
 
 def test_merge_empty_side_identity():
-    merged = merge_rules([_user_rule(W80, A)], [], PriorityPolicy.USER)
+    merged = merge_rules([Rule(W80, A)], [], PriorityPolicy.USER)
     assert merged.rules == (Rule(W80, A),)
-    merged = merge_rules([], [_client_rule(W80, B)], PriorityPolicy.CLIENT)
+    merged = merge_rules([], [Rule(W80, B)], PriorityPolicy.CLIENT)
     assert merged.rules == (Rule(W80, B),)
 
 
 def test_merge_user_priority_keeps_user_rule():
-    merged = merge_rules([_user_rule(W80, A)], [_client_rule(W80, B)], PriorityPolicy.USER)
+    merged = merge_rules([Rule(W80, A)], [Rule(W80, B)], PriorityPolicy.USER)
     assert merged.rules == (Rule(W80, A),)
 
 
 def test_merge_policy_flip_swaps_survivor():
-    user, client = [_user_rule(W80, A)], [_client_rule(W80, B)]
+    user, client = [Rule(W80, A)], [Rule(W80, B)]
     kept_user = merge_rules(user, client, PriorityPolicy.USER).rules[0].action
     kept_client = merge_rules(user, client, PriorityPolicy.CLIENT).rules[0].action
     assert (kept_user, kept_client) == (A, B)
 
 
+def test_merge_keeps_the_input_rules():
+    user, client = [Rule(W80, A)], [Rule(W80, B), Rule(MatchKey("m", 25), Block())]
+    merged = merge_rules(user, client, PriorityPolicy.CLIENT).rules
+    assert merged[0] is client[0] and merged[1] is client[1]
+    assert merge_rules(user, client, PriorityPolicy.USER).rules[0] is user[0]
+
+
 def test_merge_identical_rules_collapse_regardless_of_policy():
     for policy in PriorityPolicy:
-        merged = merge_rules([_user_rule(W80, A)], [_client_rule(W80, A)], policy)
+        merged = merge_rules([Rule(W80, A)], [Rule(W80, A)], policy)
         assert merged.rules == (Rule(W80, A),)
 
 
 def test_merge_rejects_duplicate_keys_within_one_side():
     with pytest.raises(DuplicateMatchKey):
-        merge_rules([_user_rule(W80, A), _user_rule(W80, B)], [], PriorityPolicy.USER)
+        merge_rules([Rule(W80, A), Rule(W80, B)], [], PriorityPolicy.USER)
     with pytest.raises(DuplicateMatchKey):
-        merge_rules([], [_client_rule(W80, A), _client_rule(W80, B)], PriorityPolicy.USER)
+        merge_rules([], [Rule(W80, A), Rule(W80, B)], PriorityPolicy.USER)
+
+
+def test_merge_rejects_a_client_side_repeating_a_key_the_user_side_holds():
+    # the client-side copies of a key held by the user never reach the output
+    for policy in PriorityPolicy:
+        with pytest.raises(DuplicateMatchKey):
+            merge_rules([Rule(W80, A)], [Rule(W80, A), Rule(W80, B)], policy)
 
 
 def test_merge_fresh_version_stamp():
@@ -297,12 +266,10 @@ def test_merge_exhaustive_small_universe_equals_oracle():
     universe = [Rule(k, a) for k in keys for a in (A, Block())]
     sides = _ordered_lists(universe, 3)
     for user_side in sides:
-        user_entries = [_user_rule(r.match, r.action) for r in user_side]
         for client_side in sides:
-            client_entries = [_client_rule(r.match, r.action) for r in client_side]
             for policy in PriorityPolicy:
-                got = merge_rules(user_entries, client_entries, policy)
-                assert got.rules == oracle_merge(user_entries, client_entries, policy)
+                got = merge_rules(user_side, client_side, policy)
+                assert got.rules == oracle_merge(user_side, client_side, policy)
 
 
 def test_merge_output_always_unique_keys_random():
@@ -312,8 +279,8 @@ def test_merge_output_always_unique_keys_random():
     for _ in range(300):
         user_keys = rng.sample(keys, k=rng.randrange(0, len(keys)))
         client_keys = rng.sample(keys, k=rng.randrange(0, len(keys)))
-        user_entries = [_user_rule(k, rng.choice(actions)) for k in user_keys]
-        client_entries = [_client_rule(k, rng.choice(actions)) for k in client_keys]
+        user_entries = [Rule(k, rng.choice(actions)) for k in user_keys]
+        client_entries = [Rule(k, rng.choice(actions)) for k in client_keys]
         policy = rng.choice(list(PriorityPolicy))
         merged = merge_rules(user_entries, client_entries, policy)
         seen = [r.match for r in merged.rules]

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import no_resource_warnings, spawn_cli
-from dacs import rules, wire
+from dacs import wire
 from dacs import server as server_module
 from dacs.agent import DacsAgent
 from dacs.rules import (
@@ -135,7 +135,7 @@ def test_load_checks_each_rule_once_and_each_subject_once(
         return wrapper
 
     monkeypatch.setattr(server_module, "parse_rule", counting("parse", server_module.parse_rule))
-    monkeypatch.setattr(rules, "is_ipv4", counting("ipv4", rules.is_ipv4))
+    monkeypatch.setattr(server_module, "is_ipv4", counting("ipv4", server_module.is_ipv4))
     lines = ["[policy]", "priority=client"]
     for k in range(sections):
         lines.append(f"[client 10.0.0.{k + 1}]")
@@ -182,6 +182,7 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
         "[user u]\nblock|*:25\n",  # no policy section at all
         "[policy]\npriority=user\n[user bad|name]\nblock|*:25\n",
         "[policy]\npriority=user\n[client 300.1.1.1]\nblock|*:25\n",
+        "[policy]\npriority=user\n[client not-an-ip]\nblock|*:25\n",
         "[policy]\npriority=user\n[groups]\nu=Group A\n",
         "[policy]\npriority=user\n[groups]\nu=G\nu=H\n",
         "[policy]\npriority=user\n[groups]\nbad name=G\n",

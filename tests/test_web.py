@@ -261,6 +261,17 @@ def test_preamble_binding_falls_back_to_peer_when_absent(app_server):
     assert "REMOTE_ADDR=127.0.0.1" in body.decode()
 
 
+def test_preamble_binding_takes_a_long_first_line_as_the_request_line(app_server):
+    # a first line that is not a preamble is held to the header line limit,
+    # not to the length of the longest preamble
+    server, _ = app_server
+    addr = ("127.0.0.1", server.bindings[0].port)
+    path = "/index.html?q=" + "x" * 60
+    assert len(f"GET {path} HTTP/1.1\r\n") > 64
+    assert fetch(addr, path)[0] == 200
+    assert fetch(addr, path, preamble_ip="10.0.0.1")[0] == 200
+
+
 # --- counter --------------------------------------------------------------------
 
 

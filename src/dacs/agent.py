@@ -266,6 +266,7 @@ class DacsAgent:
             "user": self.user,
             "client_ip": self.client_ip,
             "version": installed.snapshot.version,
+            "connected": self.connected,
             "rules": [format_rule(r) for r in installed.snapshot.rules],
             "redirectors": {
                 format_match(key): format_hostport(r.address)
@@ -407,7 +408,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"no agent at {args.control}: {exc}")
             return 1
-        print(f"user {reply['user']} client_ip {reply['client_ip']} version {reply['version']}")
+        print(f"user {reply['user']} client_ip {reply['client_ip']} version {reply['version']}"
+              f" connected {'yes' if reply['connected'] else 'no'}")
         for line in reply["rules"]:
             print(f"rule {line}")
         for match, addr in reply["redirectors"].items():

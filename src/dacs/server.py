@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import (
-    MatchKey,
     PriorityPolicy,
     Rule,
     RuleSet,
@@ -60,16 +59,19 @@ class Repository:
     user_rules: dict[str, list[Rule]] = field(default_factory=dict)
     client_rules: dict[str, list[Rule]] = field(default_factory=dict)
     groups: dict[str, list[str]] = field(default_factory=dict)
+    # every rule line of the load that built this repository -> its Rule
+    rule_lines: dict[str, Rule] = field(default_factory=dict, repr=False, compare=False)
 
 
-def load_repository(path) -> Repository:
+def load_repository(path, previous: Repository | None = None) -> Repository:
     """Parse and fully validate a repository file; any violation aborts.
 
     Linear in the file: a rule section's name (a user name or a client IPv4
-    literal) is checked once, on its first rule line, and duplicate match
-    keys are found through one set per (kind, name), which also spans a
-    header repeated later in the file. Each section holds the rules that
-    parse_rule returned.
+    literal) is checked at its header, and duplicate match keys are found
+    through one set per (kind, name), which also spans a header repeated
+    later in the file. Each section holds the rules that parse_rule returned;
+    a rule line that `previous` also held is not parsed again, its Rule is
+    reused (every other check still runs on it).
     Lines end at LF only (a trailing CR is stripped with the other edge
     whitespace); the file must be UTF-8.
     """
@@ -83,25 +85,34 @@ def load_repository(path) -> Repository:
     client_rules: dict[str, list[Rule]] = {}
     groups: dict[str, list[str]] = {}
     section: tuple | None = None
-    seen_keys: dict[tuple, set[MatchKey]] = {}
-    entries: list[Rule] | None = None  # the current rule section's, once its name is checked
+    seen_keys: dict[tuple, set[tuple[str, int]]] = {}
+    entries: list[Rule] | None = None  # the current rule section's, once it has a rule
+    known = previous.rule_lines if previous is not None else {}
+    rule_lines: dict[str, Rule] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        first = line[:1]  # cheaper than two startswith calls on every line
+        if not first or first == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if first == "[" and line.endswith("]"):
             header = line[1:-1].strip()
+            problems = []
             if header == "policy":
                 section = ("policy",)
             elif header == "groups":
                 section = ("groups",)
             elif header.startswith("user "):
                 section = ("user", header[5:].strip())
+                problems = user_name_violations(section[1])
             elif header.startswith("client "):
                 section = ("client", header[7:].strip())
+                if not is_ipv4(section[1]):
+                    problems = ["client ip is not a dotted-quad IPv4 literal"]
             else:
                 raise RepoParseError(lineno, f"unknown section {line!r}")
+            if problems:
+                raise InvariantViolation(f"line {lineno}: " + "; ".join(problems))
             entries = None
             continue
         if section is None:
@@ -118,26 +129,25 @@ def load_repository(path) -> Repository:
             except ValueError:
                 raise RepoParseError(lineno, f"unknown priority {value!r}") from None
         elif section[0] in ("user", "client"):
-            try:
-                rule = parse_rule(line)
-            except RuleSyntaxError as exc:
-                raise RepoParseError(lineno, str(exc)) from None
+            rule = known.get(line)
+            if rule is None:
+                try:
+                    rule = parse_rule(line)
+                except RuleSyntaxError as exc:
+                    raise RepoParseError(lineno, str(exc)) from None
+            rule_lines[line] = rule
             if entries is None:
                 kind, name = section
-                if kind == "user":
-                    problems = user_name_violations(name)
-                else:
-                    problems = [] if is_ipv4(name) else ["client ip is not a dotted-quad IPv4 literal"]
-                if problems:
-                    raise InvariantViolation(f"line {lineno}: " + "; ".join(problems))
                 bucket = user_rules if kind == "user" else client_rules
                 entries = bucket.setdefault(name, [])
                 seen = seen_keys.setdefault(section, set())
-            if rule.match in seen:
+            # a (host, port) tuple hashes in C; MatchKey's hash runs Python code
+            key = (rule.match.host, rule.match.port)
+            if key in seen:
                 raise InvariantViolation(
                     f"line {lineno}: duplicate match key for {section[0]} {section[1]}"
                 )
-            seen.add(rule.match)
+            seen.add(key)
             entries.append(rule)
         else:  # groups
             name, sep, value = line.partition("=")
@@ -155,7 +165,7 @@ def load_repository(path) -> Repository:
 
     if policy is None:
         raise InvariantViolation("missing [policy] section with priority=")
-    return Repository(policy, user_rules, client_rules, groups)
+    return Repository(policy, user_rules, client_rules, groups, rule_lines)
 
 
 def get_groups(repo: Repository, user: str) -> list[str]:
@@ -357,7 +367,7 @@ class DacsServer:
         """
         with self._push_lock:
             try:
-                new_repo = load_repository(self.repo_path)
+                new_repo = load_repository(self.repo_path, previous=self.repo)
             except (RepositoryError, OSError) as exc:
                 raise ReloadError(str(exc)) from None
             with self._lock:

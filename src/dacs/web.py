@@ -15,6 +15,7 @@ import os
 import re
 import socket
 import subprocess
+import sys
 import threading
 import urllib.parse
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ _HEADER_LINE_LIMIT = 8192
 _BODY_LIMIT = 10 * 1024 * 1024
 _PREAMBLE_RE = re.compile(rb"DACS1 (\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\n")
 _PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
+_INTERPRETER_DIR = os.path.dirname(sys.executable)
 
 _REASONS = {
     200: "OK",
@@ -165,7 +167,8 @@ def build_cgi_env(
         "SERVER_NAME": binding.host,
         "SERVER_PORT": str(binding.port),
         "REMOTE_ADDR": remote_addr,
-        "PATH": os.environ.get("PATH", "/usr/local/bin:/usr/bin:/bin"),
+        # this interpreter's directory first: `#!/usr/bin/env python3` runs it
+        "PATH": _INTERPRETER_DIR + os.pathsep + os.environ.get("PATH", "/usr/local/bin:/usr/bin:/bin"),
     }
     if content_length is not None:
         env["CONTENT_LENGTH"] = str(content_length)

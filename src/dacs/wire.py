@@ -217,7 +217,7 @@ def _as_version(value: str, verb: str) -> int:
     return int(value)
 
 
-def _parse_payload(payload: bytes) -> Message:
+def _parse_payload(payload: bytes, rule_lines: dict[str, Rule] | None) -> Message:
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError:
@@ -236,15 +236,24 @@ def _parse_payload(payload: bytes) -> Message:
         return Login(_decoded(_check_user, user), _decoded(_check_ip, client_ip))
     if verb == "RULESET":
         version = _as_version(_take(fields, 0, "version", verb), verb)
+        known = rule_lines if rule_lines is not None else {}
+        decoded: dict[str, Rule] = {}
         rules = []
         for field in fields[1:]:
-            name, sep, value = field.partition("=")
-            if not sep or name != "rule":
-                raise MalformedFrame(f"{verb}: expected rule=, got {field!r}")
-            try:
-                rules.append(parse_rule(value))
-            except RuleSyntaxError as exc:
-                raise MalformedFrame(f"{verb}: bad rule line: {exc}") from None
+            rule = known.get(field)
+            if rule is None:
+                name, sep, value = field.partition("=")
+                if not sep or name != "rule":
+                    raise MalformedFrame(f"{verb}: expected rule=, got {field!r}")
+                try:
+                    rule = parse_rule(value)
+                except RuleSyntaxError as exc:
+                    raise MalformedFrame(f"{verb}: bad rule line: {exc}") from None
+            decoded[field] = rule
+            rules.append(rule)
+        if rule_lines is not None:
+            rule_lines.clear()
+            rule_lines.update(decoded)
         return RuleSetMsg(version, tuple(rules))
     if verb == "PUSH":
         _no_more(fields, 0, verb)
@@ -276,11 +285,16 @@ def _decoded(check, value: str) -> str:
         raise MalformedFrame(str(exc)) from None
 
 
-def decode(data: bytes) -> tuple[Message, bytes] | None:
+def decode(data: bytes, rule_lines: dict[str, Rule] | None = None) -> tuple[Message, bytes] | None:
     """Decode one complete frame from the front of `data`.
 
     Returns (message, untouched suffix), or None when more bytes are needed.
     Never reads past the first frame.
+
+    `rule_lines` maps the `rule=` lines of the last RULESET decoded to their
+    Rules. A line found there is not parsed again, and a RULESET that
+    decodes replaces the map's contents with its own lines; any other frame,
+    or one that fails, leaves the map as it was.
     """
     if not data:
         return None
@@ -302,15 +316,17 @@ def decode(data: bytes) -> tuple[Message, bytes] | None:
     end = newline + 1 + length
     if len(data) < end:
         return None
-    return _parse_payload(data[newline + 1 : end]), bytes(data[end:])
+    return _parse_payload(data[newline + 1 : end], rule_lines), bytes(data[end:])
 
 
 class MessageStream:
-    """One framed-message connection; owns the reassembly buffer for a socket."""
+    """One framed-message connection; owns the reassembly buffer for a socket,
+    and the line -> Rule map of the last rule set it received."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buf = b""
+        self._rule_lines: dict[str, Rule] = {}
 
     def send(self, msg: Message) -> None:
         self.sock.sendall(encode(msg))
@@ -318,7 +334,7 @@ class MessageStream:
     def recv(self) -> Message | None:
         """Next message, or None on orderly EOF between frames."""
         while True:
-            got = decode(self._buf)
+            got = decode(self._buf, self._rule_lines)
             if got is not None:
                 msg, self._buf = got
                 return msg

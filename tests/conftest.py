@@ -216,6 +216,19 @@ def no_resource_warnings():
     assert leaks == []
 
 
+def counting_parses(monkeypatch, module) -> list[int]:
+    """Count the calls of `module.parse_rule`; the list's one item is the count."""
+    calls = [0]
+    parse = module.parse_rule
+
+    def wrapper(line):
+        calls[0] += 1
+        return parse(line)
+
+    monkeypatch.setattr(module, "parse_rule", wrapper)
+    return calls
+
+
 def spawn_cli(module_args: list[str], **popen_kw) -> subprocess.Popen:
     """Run `python -m <module> ...` with this checkout importable."""
     env = os.environ.copy()

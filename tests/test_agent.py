@@ -365,6 +365,27 @@ def test_login_parses_each_delivered_rule_once(tmp_path, monkeypatch):
         server.stop()
 
 
+def test_status_reports_connected_until_the_server_stops(tmp_path):
+    from dacs.server import DacsServer
+
+    repo = tmp_path / "repo.conf"
+    repo.write_text("[policy]\npriority=user\n[user userA]\nblock|h:80\n")
+    server = DacsServer(repo, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    client = DacsAgent(server.listen_addr, "userA", "10.0.0.1")
+    try:
+        assert client.status()["connected"] is False
+        client.login(timeout=5)
+        assert client.status()["connected"] is True
+        server.stop()
+        deadline = time.monotonic() + 5
+        while client.status()["connected"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert client.status()["connected"] is False
+    finally:
+        client.close()
+        server.stop()
+
+
 # --- agent CLI --------------------------------------------------------------------
 
 
@@ -394,6 +415,7 @@ def test_agent_cli_login_status_dial(tmp_path, echo_server):
         out, _ = status.communicate(timeout=15)
         assert status.returncode == 0
         assert b"user userA" in out
+        assert b"connected yes" in out
         assert f"rewrite|wwwserver:80|127.0.0.1:{echo_server.address[1]}".encode() in out
 
         dial = spawn_cli([

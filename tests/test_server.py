@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import no_resource_warnings, spawn_cli
+from conftest import counting_parses, no_resource_warnings, spawn_cli
 from dacs import wire
 from dacs import server as server_module
 from dacs.agent import DacsAgent
@@ -115,11 +115,25 @@ def test_duplicate_match_key_under_repeated_header_rejected(tmp_path):
     assert str(err.value).startswith("line 8: duplicate match key for user userA")
 
 
-def test_bad_client_ip_reported_at_first_rule_line(tmp_path):
+def test_bad_client_ip_reported_at_its_header(tmp_path):
     text = "[policy]\npriority=user\n[client 300.1.1.1]\n# note\n\nblock|*:25\nblock|*:26\n"
     with pytest.raises(InvariantViolation) as err:
         load_repository(write(tmp_path, text))
-    assert str(err.value).startswith("line 6: client ip is not")
+    assert str(err.value).startswith("line 3: client ip is not")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("[client 300.1.1.1]", "line 3: client ip is not a dotted-quad IPv4 literal"),
+        ("[user bad|name]", "line 3: '|' in user name"),
+    ],
+)
+def test_a_bad_section_name_is_refused_without_rule_lines(tmp_path, header, message):
+    text = f"[policy]\npriority=user\n{header}\n# no rules yet\n[groups]\nu=G\n"
+    with pytest.raises(InvariantViolation) as err:
+        load_repository(write(tmp_path, text))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("sections, rules_each", [(4, 50), (1, 20000)])
@@ -143,6 +157,25 @@ def test_load_checks_each_rule_once_and_each_subject_once(
     repo = load_repository(write(tmp_path, "\n".join(lines) + "\n"))
     assert [len(r) for r in repo.client_rules.values()] == [rules_each] * sections
     assert calls == {"parse": sections * rules_each, "ipv4": sections}
+
+
+def test_reload_parses_only_the_rule_lines_that_changed(tmp_path, monkeypatch):
+    lines = ["[policy]", "priority=client"]
+    for k in range(4):
+        lines.append(f"[client 10.0.0.{k + 1}]")
+        lines += [f"block|h{i}.example:80" for i in range(50)]
+    before = load_repository(write(tmp_path, "\n".join(lines) + "\n"))
+    lines[3] = "block|changed.example:80"  # changed
+    lines.insert(60, "rewrite|new.example:80|127.0.0.1:9")  # added
+    del lines[100]  # deleted
+    lines.append("[user u]")
+    lines.append("block|h7.example:80")  # moved into a new section: not parsed
+    calls = counting_parses(monkeypatch, server_module)
+    after = load_repository(write(tmp_path, "\n".join(lines) + "\n"), previous=before)
+    assert calls[0] == 2
+    assert after == load_repository(write(tmp_path, "\n".join(lines) + "\n"))
+    assert after.user_rules["u"][0] is before.rule_lines["block|h7.example:80"]
+    assert set(after.rule_lines) == {line for line in lines[2:] if "|" in line}
 
 
 def test_crlf_line_ends_still_load(tmp_path):
@@ -468,6 +501,29 @@ def test_push_with_corrupt_file_changes_nothing(live):
             Destination("127.0.0.1", 3000)
         )
         other.close()
+    finally:
+        agent.close()
+
+
+def test_a_push_parses_only_the_changed_lines_at_both_ends(live, monkeypatch):
+    server, repo_path, _ = live
+    agent = DacsAgent(server.listen_addr, "userA", "192.168.10.5")
+    agent.login()
+    loaded = server.repo
+    try:
+        repo_path.write_text("[policy]\npriority=user\n[user u]\ngarbage line\n")
+        with pytest.raises(ReloadError):
+            server.admin_push()
+        assert server.repo is loaded
+        at_server = counting_parses(monkeypatch, server_module)
+        at_agent = counting_parses(monkeypatch, wire)
+        repo_path.write_text(FULL.replace("127.0.0.1:3000", "127.0.0.1:3999"))
+        assert server.admin_push() == 1
+        assert _wait(
+            lambda: decide(agent.installed.snapshot, Destination("wwwserver", 80))
+            == Rewrite(Destination("127.0.0.1", 3999))
+        )
+        assert (at_server[0], at_agent[0]) == (1, 1)
     finally:
         agent.close()
 

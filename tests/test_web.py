@@ -1,7 +1,9 @@
 """Virtual-host web server: static vhosts, CGI contract, counter semantics,
 identity registry, preamble handling, and per-binding enforcement."""
 
+import os
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -238,6 +240,29 @@ def test_cgi_error_mapping(tmp_path, monkeypatch):
         assert (status, body) == (403, b"denied")
     finally:
         server.stop()
+
+
+def test_cgi_child_runs_the_daemons_interpreter(tmp_path, monkeypatch):
+    # another python3 first on the daemon's PATH, as a pyenv shim would be
+    shims = tmp_path / "shims"
+    shims.mkdir()
+    (shims / "python3").symlink_to(sys.executable)
+    monkeypatch.setenv("PATH", str(shims) + os.pathsep + os.environ.get("PATH", ""))
+    docroot = tmp_path / "root"
+    (docroot / "cgi-bin").mkdir(parents=True)
+    script = docroot / "cgi-bin" / "which"
+    script.write_text("#!/usr/bin/env python3\nimport sys\n"
+                      "print('Content-Type: text/plain\\n\\n' + sys.executable, end='')\n")
+    script.chmod(0o755)
+    server = VHostServer([VHostBinding("127.0.0.1", 0, docroot)]).start()
+    try:
+        status, _, body = fetch(("127.0.0.1", server.bindings[0].port), "/cgi-bin/which")
+    finally:
+        server.stop()
+    assert status == 200
+    child = body.decode()
+    assert os.path.dirname(child) == os.path.dirname(sys.executable)
+    assert os.path.realpath(child) == os.path.realpath(sys.executable)
 
 
 def test_preamble_off_binding_ignores_nothing(tmp_path):

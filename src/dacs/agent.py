@@ -29,7 +29,6 @@ from .rules import (
     WILDCARD,
     decide,
     format_match,
-    format_rule,
     parse_rule,  # noqa: F401 -- unused; bound so perfbench's tracer can count parses here
 )
 from .util import Listener, clear_deadline, format_hostport, parse_hostport, pump, setup_logging
@@ -267,7 +266,7 @@ class DacsAgent:
             "client_ip": self.client_ip,
             "version": installed.snapshot.version,
             "connected": self.connected,
-            "rules": [format_rule(r) for r in installed.snapshot.rules],
+            "rules": [r.line for r in installed.snapshot.rules],
             "redirectors": {
                 format_match(key): format_hostport(r.address)
                 for key, r in installed.redirectors.items()

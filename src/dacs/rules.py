@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import NoReturn
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple, NoReturn
 
 PORT_MAX = 65535
 WILDCARD = "*"
@@ -56,16 +57,19 @@ def is_ipv4(text: str) -> bool:
     return _IPV4_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class Destination:
+# Destination and MatchKey are (host, port) tuples: they hash and compare in
+# C, and a MatchKey equals a Destination or a plain tuple with the same
+# fields, so a Destination looks its rule up in a RuleSet directly.
+
+
+class Destination(NamedTuple):
     """A concrete (host, port) a client application addresses."""
 
     host: str
     port: int
 
 
-@dataclass(frozen=True)
-class MatchKey:
+class MatchKey(NamedTuple):
     """What one rule matches: exact host or `*`; the port is always exact."""
 
     host: str
@@ -89,6 +93,10 @@ class Pass:
     """No rule matched; connect to the requested destination unchanged."""
 
 
+# Block and Pass stay distinct classes: two empty tuples would compare equal.
+_BLOCK = Block()
+_PASS = Pass()
+
 # A rule carries Rewrite | Block; a decision adds Pass for "no rule matched".
 RuleAction = Rewrite | Block
 Decision = Pass | Rewrite | Block
@@ -102,6 +110,29 @@ class Rule:
     match: MatchKey
     action: RuleAction
 
+    @cached_property
+    def line(self) -> str:
+        """The rule's one grammar line, checked to decode back to this very
+        rule: the field types, then the ports' range and RULE_LINE. Raises
+        RuleSyntaxError; only a line that passes is cached, so each Rule is
+        formatted and checked once."""
+        match, action = self.match, self.action
+        # a bool is an int, but would not format as a port
+        typed = type(match.host) is str and type(match.port) is int
+        in_range = typed and match.port <= PORT_MAX
+        if type(action) is Rewrite:
+            dst = action.new_dst
+            typed = typed and type(dst.host) is str and type(dst.port) is int
+            in_range = in_range and typed and dst.port <= PORT_MAX
+        elif type(action) is not Block:
+            typed = False
+        if not typed:
+            raise RuleSyntaxError(f"{self!r}: a field has the wrong type")
+        line = format_rule(self)
+        if in_range and RULE_LINE.fullmatch(line):
+            return line
+        _refuse(line)
+
 
 class PriorityPolicy(enum.Enum):
     """Whose rule wins when a user rule and a client rule share a match key."""
@@ -112,20 +143,34 @@ class PriorityPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Versioned rule collection; match keys are unique within the set."""
+    """Versioned rule collection; match keys are unique within the set.
+
+    The index is built once, with the duplicate check: `actions` maps every
+    match key to its action, `wildcard_actions` each port that has a `*` key
+    to that key's action."""
 
     version: int
     rules: tuple[Rule, ...]
+    actions: dict[MatchKey, RuleAction] = field(init=False, repr=False, compare=False)
+    wildcard_actions: dict[int, RuleAction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.version < 0:
             raise ValueError("rule set version must be >= 0")
-        object.__setattr__(self, "rules", tuple(self.rules))
-        seen = set()
-        for rule in self.rules:
-            if rule.match in seen:
-                raise DuplicateMatchKey(format_match(rule.match))
-            seen.add(rule.match)
+        rules = tuple(self.rules)
+        actions = {rule.match: rule.action for rule in rules}
+        if len(actions) < len(rules):
+            seen = set()
+            for rule in rules:
+                if rule.match in seen:
+                    raise DuplicateMatchKey(format_match(rule.match))
+                seen.add(rule.match)
+        wildcard_actions = {
+            port: action for (host, port), action in actions.items() if host == WILDCARD
+        }
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "wildcard_actions", wildcard_actions)
 
 
 def _name_violations(name: str, what: str, separators: str) -> list[str]:
@@ -188,7 +233,7 @@ def parse_rule(line: str) -> Rule:
         if host is not None:
             port = int(port)
             if port <= PORT_MAX:
-                return Rule(MatchKey(host, port), Block())
+                return Rule(MatchKey(host, port), _BLOCK)
         else:
             mport, tport = int(mport), int(tport)
             if mport <= PORT_MAX and tport <= PORT_MAX:
@@ -198,16 +243,12 @@ def parse_rule(line: str) -> Rule:
 
 def decide(rules: RuleSet, dst: Destination) -> Decision:
     """Match dst against the set. Exact host beats wildcard at the same port;
-    no matching rule means Pass. A Rewrite result is never re-matched."""
-    wildcard_action: Decision | None = None
-    for rule in rules.rules:
-        if rule.match.port != dst.port:
-            continue
-        if rule.match.host == dst.host:
-            return rule.action
-        if rule.match.host == WILDCARD:
-            wildcard_action = rule.action
-    return wildcard_action if wildcard_action is not None else Pass()
+    no matching rule means Pass. A Rewrite result is never re-matched. Two
+    dict lookups: the exact key, then the port's `*` key."""
+    action = rules.actions.get(dst)
+    if action is None:
+        return rules.wildcard_actions.get(dst.port, _PASS)
+    return action
 
 
 def merge_rules(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import (
+    MatchKey,
     PriorityPolicy,
     Rule,
     RuleSet,
@@ -85,7 +86,7 @@ def load_repository(path, previous: Repository | None = None) -> Repository:
     client_rules: dict[str, list[Rule]] = {}
     groups: dict[str, list[str]] = {}
     section: tuple | None = None
-    seen_keys: dict[tuple, set[tuple[str, int]]] = {}
+    seen_keys: dict[tuple, set[MatchKey]] = {}
     entries: list[Rule] | None = None  # the current rule section's, once it has a rule
     known = previous.rule_lines if previous is not None else {}
     rule_lines: dict[str, Rule] = {}
@@ -141,13 +142,11 @@ def load_repository(path, previous: Repository | None = None) -> Repository:
                 bucket = user_rules if kind == "user" else client_rules
                 entries = bucket.setdefault(name, [])
                 seen = seen_keys.setdefault(section, set())
-            # a (host, port) tuple hashes in C; MatchKey's hash runs Python code
-            key = (rule.match.host, rule.match.port)
-            if key in seen:
+            if rule.match in seen:
                 raise InvariantViolation(
                     f"line {lineno}: duplicate match key for {section[0]} {section[1]}"
                 )
-            seen.add(key)
+            seen.add(rule.match)
             entries.append(rule)
         else:  # groups
             name, sep, value = line.partition("=")

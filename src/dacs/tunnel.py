@@ -205,25 +205,25 @@ def tunnel_policy_check(control_rules: RuleSet, tunnels) -> list[str]:
     inconsistency; an empty list means the configuration is coherent.
     """
     problems: list[str] = []
-    by_match = {rule.match: rule for rule in control_rules.rules}
     seen_local_ports: set[int] = set()
     for spec in tunnels:
         if spec.local_port in seen_local_ports:
             problems.append(f"duplicate tunnel local port {spec.local_port}")
         seen_local_ports.add(spec.local_port)
-        rule = by_match.get(spec.service_match)
-        if rule is None:
+        action = control_rules.actions.get(spec.service_match)
+        if action is None:
             problems.append(
                 f"orphaned tunnel: no control rule for {format_match(spec.service_match)}"
             )
-        elif isinstance(rule.action, Block):
+        elif isinstance(action, Block):
             problems.append(
                 f"conflict: {format_match(spec.service_match)} is both tunneled and blocked"
             )
-        elif rule.action.new_dst != Destination("127.0.0.1", spec.local_port):
+        elif action.new_dst != Destination("127.0.0.1", spec.local_port):
             problems.append(
                 f"mismatched pair: tunnel for {format_match(spec.service_match)} expects "
-                f"a rewrite to 127.0.0.1:{spec.local_port}, rule is {format_rule(rule)}"
+                f"a rewrite to 127.0.0.1:{spec.local_port}, rule is "
+                f"rewrite|{format_match(spec.service_match)}|{format_match(action.new_dst)}"
             )
     for rule in control_rules.rules:
         if isinstance(rule.action, Rewrite) and rule.action.new_dst.host in _LOCAL_HOSTS:

@@ -12,14 +12,8 @@ import socket
 from dataclasses import dataclass
 
 from .rules import (
-    PORT_MAX,
-    RULE_LINE,
-    Block,
-    Rewrite,
     Rule,
     RuleSyntaxError,
-    _refuse,
-    format_rule,
     group_name_violations,
     is_ipv4,
     parse_rule,
@@ -122,30 +116,6 @@ def _check_version(value: int) -> int:
     return value
 
 
-def _rule_line(rule: Rule) -> str:
-    """Format the rule once and check the line against the rule grammar. With
-    the field types checked too, the line decodes back to this very rule."""
-    match, action = rule.match, rule.action
-    # a bool is an int, but would not format as a port
-    typed = type(match.host) is str and type(match.port) is int
-    in_range = typed and match.port <= PORT_MAX
-    if type(action) is Rewrite:
-        dst = action.new_dst
-        typed = typed and type(dst.host) is str and type(dst.port) is int
-        in_range = in_range and typed and dst.port <= PORT_MAX
-    elif type(action) is not Block:
-        typed = False
-    if not typed:
-        raise IllegalCharacter(f"{rule!r}: a field has the wrong type")
-    line = format_rule(rule)
-    if in_range and RULE_LINE.fullmatch(line):
-        return line
-    try:
-        _refuse(line)
-    except RuleSyntaxError as exc:
-        raise IllegalCharacter(str(exc)) from None
-
-
 def _check_code(code: str) -> str:
     if not code:
         raise IllegalCharacter("empty error code")
@@ -168,7 +138,11 @@ def _payload(msg: Message) -> str:
         )
     if isinstance(msg, RuleSetMsg):
         lines = ["RULESET", "version=%d" % _check_version(msg.version)]
-        lines += ["rule=%s" % _rule_line(rule) for rule in msg.rules]
+        try:
+            # each Rule formats and checks its line once, on first use
+            lines += ["rule=" + rule.line for rule in msg.rules]
+        except RuleSyntaxError as exc:
+            raise IllegalCharacter(str(exc)) from None
         return "\n".join(lines) + "\n"
     if isinstance(msg, PushNotice):
         return "PUSH\n"

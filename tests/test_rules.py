@@ -182,11 +182,29 @@ def test_decide_deterministic_over_random_sets():
                 for k in keys
             ),
         )
-        for host in ("a", "b", "c", "zzz"):
+        # exact and `*` keys share ports, and `*` is also a destination host
+        for host in ("a", "b", "c", "*", "zzz"):
             for port in (25, 80, 443):
                 dst = Destination(host, port)
                 first = decide(rules, dst)
                 assert first == decide(rules, dst) == oracle_decide(rules.rules, dst)
+
+
+def test_decide_passes_with_one_shared_pass_and_blocks_with_one_shared_block():
+    empty = RuleSet(0, ())
+    assert decide(empty, Destination("a", 1)) is decide(empty, Destination("b", 2))
+    assert parse_rule("block|a:1").action is parse_rule("block|b:2").action
+    # two empty tuples would compare equal; the two decisions must not
+    assert Block() != Pass()
+    assert Block() == Block() and Pass() == Pass()
+
+
+def test_a_match_key_is_a_host_port_tuple():
+    # documented: a MatchKey equals a Destination or plain tuple with the same fields
+    key = MatchKey("a", 80)
+    assert key == Destination("a", 80) == ("a", 80)
+    assert hash(key) == hash(Destination("a", 80)) == hash(("a", 80))
+    assert key != MatchKey("a", 81) and key != MatchKey("b", 80)
 
 
 # --- merge ---------------------------------------------------------------
@@ -293,3 +311,9 @@ def test_ruleset_constructor_enforces_uniqueness():
         RuleSet(0, (Rule(W80, A), Rule(W80, Block())))
     with pytest.raises(ValueError):
         RuleSet(-1, ())
+    # the refusal names the repeated key
+    others = [Rule(MatchKey(f"h{i}", 80), Block()) for i in range(3)]
+    repeated = (Rule(MatchKey("*", 25), A), Rule(MatchKey("*", 25), B))
+    with pytest.raises(DuplicateMatchKey) as caught:
+        RuleSet(0, (others[0], repeated[0], others[1], repeated[1], others[2]))
+    assert str(caught.value) == "*:25"

@@ -7,6 +7,8 @@ example payload is 40 bytes).
 
 import random
 import string
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -243,6 +245,74 @@ def test_encode_checks_each_rule_without_parsing(monkeypatch):
     frame = encode(msg)
     assert calls == []
     assert decode(frame) == (msg, b"")
+
+
+def counting_formats(monkeypatch) -> list[int]:
+    calls = [0]
+    format_rule = rules_module.format_rule
+
+    def wrapper(rule):
+        calls[0] += 1
+        return format_rule(rule)
+
+    monkeypatch.setattr(rules_module, "format_rule", wrapper)
+    return calls
+
+
+def test_encoding_the_same_rules_twice_formats_and_checks_each_once(monkeypatch):
+    formats = counting_formats(monkeypatch)
+    checks = [0]
+    rule_line = rules_module.RULE_LINE
+
+    class CountingPattern:
+        def fullmatch(self, line):
+            checks[0] += 1
+            return rule_line.fullmatch(line)
+
+    monkeypatch.setattr(rules_module, "RULE_LINE", CountingPattern())
+    rules = tuple(
+        Rule(MatchKey(f"h{i}", 80), Rewrite(Destination("127.0.0.1", 1000 + i)) if i % 2 else Block())
+        for i in range(10)
+    )
+    first = encode(RuleSetMsg(1, rules))
+    second = encode(RuleSetMsg(2, rules[::-1]))
+    assert formats == checks == [10]
+    assert decode(first)[0].rules == rules and decode(second)[0].rules == rules[::-1]
+
+
+def test_an_invalid_rule_is_refused_on_every_encode(monkeypatch):
+    formats = counting_formats(monkeypatch)
+    good = Rule(MatchKey("ok", 80), Block())
+    refused = (
+        Rule(MatchKey("has space", 80), Block()),
+        Rule(MatchKey("h", 80), Rewrite(Destination("10.0.0.1", 70000))),
+    )
+    for rule in refused:
+        for _ in range(3):
+            with pytest.raises(IllegalCharacter):
+                encode(RuleSetMsg(1, (good, rule)))
+    # the good rule was formatted once; each refused one on every encode
+    assert formats == [1 + 2 * 3]
+    typed = Rule(MatchKey("h", True), Block())
+    for _ in range(2):
+        with pytest.raises(IllegalCharacter, match="wrong type"):
+            encode(RuleSetMsg(1, (typed,)))
+
+
+def test_concurrent_encodes_of_the_same_fresh_rules_agree():
+    # many threads fill the same Rules' cached lines at once, on every switch
+    rules = tuple(Rule(MatchKey(f"h{i}", 80 + i % 3), Block()) for i in range(300))
+    expected = encode(RuleSetMsg(1, tuple(Rule(rule.match, rule.action) for rule in rules)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(encode, RuleSetMsg(1, rules)) for _ in range(8)]
+            frames = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert frames == [expected] * 8
+    assert all(rule.line == rules_module.format_rule(rule) for rule in rules)
 
 
 def test_encode_rejects_oversized_payload():

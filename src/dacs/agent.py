@@ -31,7 +31,7 @@ from .rules import (
     format_match,
     parse_rule,  # noqa: F401 -- unused; bound so perfbench's tracer can count parses here
 )
-from .util import Listener, clear_deadline, format_hostport, parse_hostport, pump, setup_logging
+from .util import Listener, clear_deadline, format_hostport, parse_hostport, relay, setup_logging
 from .wire import Ack, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.agent")
@@ -99,12 +99,7 @@ class Redirector(Listener):
                 conn.close()
                 return
         clear_deadline(upstream)
-        up = threading.Thread(target=pump, args=(conn, upstream), daemon=True)
-        up.start()
-        pump(upstream, conn)
-        up.join(timeout=10)
-        upstream.close()
-        conn.close()
+        relay(conn, upstream)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .rules import Block, Destination, MatchKey, Rewrite, RuleSet, format_match, format_rule
-from .util import Listener, clear_deadline, parse_hostport, recv_exact, setup_logging
+from .util import Listener, clear_deadline, parse_hostport, recv_exact, relay, setup_logging
 
 log = logging.getLogger("dacs.tunnel")
 
@@ -60,8 +60,11 @@ class HandshakeError(TunnelError):
     """Key mismatch or a peer that does not speak the handshake."""
 
 
-class RecordTampered(TunnelError):
-    """Authentication failed on an established session; no plaintext released."""
+class RecordTampered(TunnelError, ConnectionError):
+    """Authentication failed on an established session; no plaintext released.
+
+    A ConnectionError too: the channel is shut down when this is raised, and
+    a relay ends on it like on any other socket error."""
 
 
 class RemoteUnreachable(TunnelError):
@@ -165,26 +168,35 @@ class SecureChannel:
         except InvalidTag:
             raise RecordTampered("record failed authentication") from None
 
-    def send(self, data: bytes) -> None:
+    # the socket calls util.pump makes, so util.relay carries a channel
+
+    def sendall(self, data: bytes) -> None:
         for offset in range(0, len(data), SEND_CHUNK):
             self._send_record(data[offset : offset + SEND_CHUNK])
 
-    def recv(self) -> bytes:
-        """Next plaintext record; b'' on orderly EOF."""
-        record = self._recv_record()
+    def recv(self, bufsize: int = RECORD_MAX_PLAINTEXT) -> bytes:
+        """Next plaintext record; b'' on orderly EOF.
+
+        A record is never split: it holds at most RECORD_MAX_PLAINTEXT bytes,
+        under the 65536 that pump asks for. A record that fails authentication
+        ends the session, as in TLS: the socket is shut down both ways and
+        RecordTampered raised, with no byte of the record released."""
+        try:
+            record = self._recv_record()
+        except RecordTampered as exc:
+            log.warning("session terminated: %s", exc)
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            raise
         return b"" if record is None else record
 
-    def shutdown_write(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
+    def shutdown(self, how: int) -> None:
+        self.sock.shutdown(how)
 
     def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self.sock.close()
 
 
 @dataclass(frozen=True)
@@ -234,57 +246,6 @@ def tunnel_policy_check(control_rules: RuleSet, tunnels) -> list[str]:
     return problems
 
 
-def _relay_plain_to_channel(plain: socket.socket, channel: SecureChannel) -> None:
-    try:
-        while True:
-            data = plain.recv(SEND_CHUNK)
-            if not data:
-                break
-            channel.send(data)
-    except OSError:
-        pass
-    finally:
-        channel.shutdown_write()
-
-
-def _relay_channel_to_plain(channel: SecureChannel, plain: socket.socket) -> None:
-    try:
-        while True:
-            data = channel.recv()
-            if not data:
-                break
-            plain.sendall(data)
-    except RecordTampered as exc:
-        # terminate without delivering anything from the bad record
-        log.warning("session terminated: %s", exc)
-        channel.close()
-        try:
-            plain.close()
-        except OSError:
-            pass
-        return
-    except OSError:
-        pass
-    finally:
-        try:
-            plain.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-
-
-def _run_session(plain: socket.socket, channel: SecureChannel) -> None:
-    """Relay one tunnel session both ways, then close both ends."""
-    up = threading.Thread(target=_relay_plain_to_channel, args=(plain, channel), daemon=True)
-    up.start()
-    _relay_channel_to_plain(channel, plain)
-    up.join(timeout=10)
-    channel.close()
-    try:
-        plain.close()
-    except OSError:
-        pass
-
-
 class TunnelClient(Listener):
     """Agent-side end: accepts localhost-rewritten connections, speaks the
     channel toward the server-side listener."""
@@ -312,7 +273,7 @@ class TunnelClient(Listener):
             conn.close()
             return
         clear_deadline(upstream)
-        _run_session(conn, channel)
+        relay(conn, channel)
 
 
 class TunnelServer(Listener):
@@ -343,7 +304,7 @@ class TunnelServer(Listener):
             channel.close()
             return
         clear_deadline(conn, plain)
-        _run_session(plain, channel)
+        relay(plain, channel)
 
 
 def establish_tunnel(

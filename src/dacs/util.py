@@ -43,12 +43,13 @@ def setup_logging() -> None:
     )
 
 
-def close_listener(sock: socket.socket) -> None:
-    """Shut a listening socket down before closing it.
+def shut_and_close(sock: socket.socket) -> None:
+    """Shut a socket down in both directions, then close it.
 
-    A plain close() while another thread blocks in accept() leaves the kernel
-    socket alive (the syscall holds a file reference) and the port keeps
-    accepting; shutdown() wakes the acceptor and releases the port now.
+    A plain close() while another thread blocks in accept() or recv() on the
+    socket leaves the kernel socket alive (the syscall holds a file
+    reference): a listener keeps accepting and a connection sends no FIN.
+    shutdown() wakes the blocked thread and releases the socket now.
     """
     try:
         sock.shutdown(socket.SHUT_RDWR)
@@ -101,7 +102,7 @@ class Listener:
 
     def close(self) -> None:
         self._closed = True
-        close_listener(self._sock)
+        shut_and_close(self._sock)
 
 
 def clear_deadline(*socks: socket.socket) -> None:
@@ -139,8 +140,11 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def pump(src: socket.socket, dst: socket.socket) -> None:
-    """Copy src to dst until EOF, then half-close dst so the peer sees EOF."""
+def pump(src, dst) -> None:
+    """Copy src to dst until EOF, then half-close dst so the peer sees EOF.
+
+    Either end may be a socket or anything with its recv, sendall and
+    shutdown (a tunnel `SecureChannel`); any OSError ends the copy."""
     try:
         while True:
             data = src.recv(65536)
@@ -154,6 +158,17 @@ def pump(src: socket.socket, dst: socket.socket) -> None:
             dst.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+
+
+def relay(a, b) -> None:
+    """Relay one session both ways, a to b on a second thread and b to a on
+    this one; once both directions have ended, close both ends."""
+    up = threading.Thread(target=pump, args=(a, b), daemon=True)
+    up.start()
+    pump(b, a)
+    up.join(timeout=10)
+    a.close()
+    b.close()
 
 
 def wait_for_port(host: str, port: int, timeout: float = 5.0) -> bool:

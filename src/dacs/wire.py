@@ -19,6 +19,7 @@ from .rules import (
     parse_rule,
     user_name_violations,
 )
+from .util import shut_and_close
 
 FRAME_LIMIT = 1_048_576  # max payload bytes
 _HEADER_MAX = len(b"L:1048576\n")
@@ -320,13 +321,4 @@ class MessageStream:
             self._buf += chunk
 
     def close(self) -> None:
-        # shutdown first: a bare close while another thread blocks in recv
-        # on this socket would keep the connection open and send no FIN
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        shut_and_close(self.sock)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from dacs.util import close_listener
+from dacs.util import shut_and_close
 
 PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,7 +81,7 @@ class EchoServer:
 
     def close(self):
         self._closed = True
-        close_listener(self.sock)
+        shut_and_close(self.sock)
 
 
 class TagServer:
@@ -113,7 +113,7 @@ class TagServer:
 
     def close(self):
         self._closed = True
-        close_listener(self.sock)
+        shut_and_close(self.sock)
 
 
 class TapProxy:
@@ -181,7 +181,7 @@ class TapProxy:
 
     def close(self):
         self._closed = True
-        close_listener(self.sock)
+        shut_and_close(self.sock)
 
 
 def port_refuses(port: int, host: str = "127.0.0.1") -> bool:

@@ -6,6 +6,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -143,12 +144,12 @@ def test_channel_round_trip_and_chunking():
     pair = _channel_pair()
     client, server = pair["client"], pair["server"]
     payload = os.urandom(200_000)  # forces several records
-    client.send(payload)
+    client.sendall(payload)
     got = b""
     while len(got) < len(payload):
         got += server.recv()
     assert got == payload
-    server.send(b"reply")
+    server.sendall(b"reply")
     assert client.recv() == b"reply"
     client.close()
     server.close()
@@ -177,7 +178,7 @@ def test_ciphertext_differs_from_plaintext():
     thread.start()
     sock = socket.create_connection(tap.address, timeout=5)
     client = SecureChannel.client(sock, PSK)
-    client.send(marker)
+    client.sendall(marker)
     thread.join(timeout=5)
     client.close()
     tap.close()
@@ -297,6 +298,49 @@ def test_flipped_ciphertext_bit_kills_session(echo_server):
     tap.close()
     client_end.close()
     server_end.close()
+
+
+def test_tampered_record_gives_the_application_eof_at_once(caplog):
+    far = socket.socket()  # a fake far end that completes the handshake, then forges a record
+    far.bind(("127.0.0.1", 0))
+    far.listen(1)
+    far.settimeout(5)
+    client_end = TunnelClient(0, Destination(*far.getsockname()), PSK).start()
+    try:
+        with socket.create_connection(client_end.address, timeout=5) as app:
+            conn, _ = far.accept()
+            with conn:
+                conn.settimeout(5)
+                SecureChannel.server(conn, PSK)
+                conn.sendall(b"\x00\x20" + b"z" * 0x20)  # cannot authenticate
+                app.settimeout(2)
+                assert app.recv(65536) == b""  # EOF now, and no byte of the bad record
+                assert conn.recv(65536) == b""  # the far end sees the channel closed
+    finally:
+        client_end.close()
+        far.close()
+    assert "session terminated" in caplog.text
+
+
+def test_tunnel_session_ends_its_threads_and_closes_its_sockets(echo_server):
+    client_end, server_end = _tunnel_pair(echo_server.address)
+    threads_before = threading.active_count()
+    try:
+        with no_resource_warnings():
+            with socket.create_connection(client_end.address, timeout=5) as sock:
+                sock.sendall(b"one session")
+                sock.shutdown(socket.SHUT_WR)
+                got = b""
+                while chunk := sock.recv(65536):
+                    got += chunk
+                assert got == b"one session"
+            deadline = time.monotonic() + 5
+            while threading.active_count() > threads_before and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert threading.active_count() <= threads_before  # both ends' relay threads ended
+    finally:
+        client_end.close()
+        server_end.close()
 
 
 def test_selectivity_marker_visible_only_on_plain_service(echo_server):
@@ -424,13 +468,13 @@ def test_interception_resistance_only_agent_users_get_through():
 
 def test_tunnel_sessions_relay_with_no_idle_deadline(echo_server, monkeypatch):
     timeouts = []
-    run_session = tunnel._run_session
+    relay = tunnel.relay
 
-    def recording_run_session(plain, channel):
+    def recording_relay(plain, channel):
         timeouts.append((plain.gettimeout(), channel.sock.gettimeout()))
-        run_session(plain, channel)
+        relay(plain, channel)
 
-    monkeypatch.setattr(tunnel, "_run_session", recording_run_session)
+    monkeypatch.setattr(tunnel, "relay", recording_relay)
     client_end, server_end = _tunnel_pair(echo_server.address)
     with socket.create_connection(client_end.address, timeout=5) as sock:
         sock.sendall(b"idle later")

@@ -5,11 +5,12 @@ import os
 import queue
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import no_resource_warnings, port_refuses
-from dacs.util import Listener
+from dacs.util import Listener, relay
 
 
 def test_handler_gets_each_connection_and_its_peer_on_its_own_thread():
@@ -80,3 +81,67 @@ def test_an_accept_error_is_logged_and_the_loop_keeps_serving(monkeypatch, caplo
         listener.close()
     assert failures == [errno.EMFILE]
     assert os.strerror(errno.EMFILE) in caplog.text
+
+
+# --- relay -------------------------------------------------------------------
+
+
+def _relayed_pair():
+    """Two application sockets joined by relay() on its own thread."""
+    left_app, left = socket.socketpair()
+    right, right_app = socket.socketpair()
+    relayer = threading.Thread(target=relay, args=(left, right))
+    relayer.start()
+    return left_app, right_app, relayer, (left, right)
+
+
+def _read_to_eof(sock):
+    sock.settimeout(5)
+    got = b""
+    while chunk := sock.recv(65536):
+        got += chunk
+    return got
+
+
+def test_relay_carries_both_directions_intact_then_closes_both_ends():
+    up, down = os.urandom(300_000), os.urandom(300_000)
+    with no_resource_warnings():
+        left_app, right_app, relayer, ends = _relayed_pair()
+
+        def send_then_eof(sock, data):
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+
+        senders = [threading.Thread(target=send_then_eof, args=(left_app, up)),
+                   threading.Thread(target=send_then_eof, args=(right_app, down))]
+        for sender in senders:
+            sender.start()
+        with ThreadPoolExecutor(1) as pool:
+            got_down = pool.submit(_read_to_eof, left_app)
+            assert _read_to_eof(right_app) == up
+            assert got_down.result(timeout=5) == down
+        for sender in senders:
+            sender.join(timeout=5)
+        relayer.join(timeout=5)
+        assert not relayer.is_alive()
+        assert [end.fileno() for end in ends] == [-1, -1]
+        left_app.close()
+        right_app.close()
+
+
+def test_relay_eof_half_closes_only_the_other_side():
+    with no_resource_warnings():
+        left_app, right_app, relayer, ends = _relayed_pair()
+        left_app.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(right_app) == b""  # the EOF is passed on
+        right_app.sendall(b"still relayed")  # and the other direction stays open
+        left_app.settimeout(5)
+        assert left_app.recv(64) == b"still relayed"
+        assert relayer.is_alive()
+        right_app.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(left_app) == b""
+        relayer.join(timeout=5)
+        assert not relayer.is_alive()
+        assert [end.fileno() for end in ends] == [-1, -1]
+        left_app.close()
+        right_app.close()

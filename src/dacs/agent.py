@@ -40,6 +40,7 @@ DEFAULT_CONTROL = ("127.0.0.1", 47901)
 PREAMBLE_FORMAT = "DACS1 %s\n"
 # dials kept in DacsAgent.dial_log; older ones are dropped first
 DIAL_LOG_MAX = 1000
+CONTROL_REQUEST_LIMIT = 8 * 1024 * 1024  # bytes in one control request line
 
 
 class BlockedError(Exception):
@@ -289,16 +290,13 @@ class AgentControl(Listener):
     def _serve(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(60)
         try:
-            raw = b""
-            while not raw.endswith(b"\n"):
-                if len(raw) > 8 * 1024 * 1024:
-                    raise ValueError("control request too large")
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                raw += chunk
-            request = json.loads(raw.decode("utf-8"))
-            reply = self._dispatch(request)
+            with conn.makefile("rb") as reader:
+                raw = reader.readline(CONTROL_REQUEST_LIMIT + 1)
+            if len(raw) > CONTROL_REQUEST_LIMIT:
+                raise ValueError("control request too large")
+            reply = self._dispatch(json.loads(raw.decode("utf-8")))
+        except (KeyError, TypeError) as exc:  # a field missing or of the wrong type
+            reply = {"ok": False, "error": f"malformed control request: {exc!r}"}
         except (OSError, ValueError) as exc:
             reply = {"ok": False, "error": str(exc)}
         try:
@@ -307,15 +305,18 @@ class AgentControl(Listener):
             pass
         conn.close()
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise ValueError("control request is not a JSON object")
         command = request.get("cmd")
         if command == "status":
             return {"ok": True, **self.agent.status()}
         if command == "dial":
             dst = Destination(request["host"], int(request["port"]))
             payload = base64.b64decode(request["send"]) if request.get("send") else b""
+            timeout = float(request.get("timeout", 10))
             try:
-                sock = self.agent.open_connection(dst, timeout=float(request.get("timeout", 10)))
+                sock = self.agent.open_connection(dst, timeout=timeout)
             except BlockedError as exc:
                 return {"ok": True, "outcome": "blocked", "detail": str(exc)}
             except ConnectError as exc:
@@ -324,13 +325,9 @@ class AgentControl(Listener):
                 if payload:
                     sock.sendall(payload)
                     sock.shutdown(socket.SHUT_WR)
-                sock.settimeout(float(request.get("timeout", 10)))
-                received = b""
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    received += chunk
+                sock.settimeout(timeout)
+                with sock.makefile("rb") as reader:
+                    received = reader.read()
             except OSError as exc:
                 return {"ok": False, "outcome": "io-error", "error": str(exc)}
             finally:
@@ -342,12 +339,8 @@ class AgentControl(Listener):
 def _control_request(control: tuple[str, int], request: dict) -> dict:
     with socket.create_connection(control, timeout=30) as sock:
         sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
-        raw = b""
-        while not raw.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            raw += chunk
+        with sock.makefile("rb") as reader:
+            raw = reader.readline()
     return json.loads(raw.decode("utf-8"))
 
 

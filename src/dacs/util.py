@@ -162,11 +162,12 @@ def pump(src, dst) -> None:
 
 def relay(a, b) -> None:
     """Relay one session both ways, a to b on a second thread and b to a on
-    this one; once both directions have ended, close both ends."""
+    this one; once both directions have ended, close both ends. A half-closed
+    session keeps carrying the other direction for as long as it lasts."""
     up = threading.Thread(target=pump, args=(a, b), daemon=True)
     up.start()
     pump(b, a)
-    up.join(timeout=10)
+    up.join()
     a.close()
     b.close()
 
@@ -223,12 +224,8 @@ def http_exchange(
     if body is not None:
         lines.append(f"Content-Length: {len(body)}")
     sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + (body or b""))
-    data = b""
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        data += chunk
+    with sock.makefile("rb") as reader:
+        data = reader.read()
     head, sep, payload = data.partition(b"\r\n\r\n")
     if not sep:
         raise ValueError("no header terminator in HTTP response")

@@ -9,6 +9,7 @@ server so CGI programs can know which user is behind a source address.
 from __future__ import annotations
 
 import functools
+import io
 import logging
 import mimetypes
 import os
@@ -245,38 +246,12 @@ def run_cgi(script_path: Path, env: dict[str, str], body: bytes | None, timeout:
     return parsed
 
 
-class _LineReader:
-    """Buffered line/byte reads over a socket."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buf = b""
-
-    def readline(self, limit: int) -> bytes:
-        while b"\n" not in self.buf:
-            if len(self.buf) > limit:
-                raise _BadRequest("header line too long")
-            chunk = self.sock.recv(8192)
-            if not chunk:
-                break
-            self.buf += chunk
-        index = self.buf.find(b"\n")
-        if index < 0:
-            line, self.buf = self.buf, b""
-        else:
-            line, self.buf = self.buf[: index + 1], self.buf[index + 1 :]
-        if len(line) > limit:
-            raise _BadRequest("header line too long")
-        return line
-
-    def read(self, n: int) -> bytes:
-        while len(self.buf) < n:
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                break
-            self.buf += chunk
-        data, self.buf = self.buf[:n], self.buf[n:]
-        return data
+def _readline(reader: io.BufferedReader) -> bytes:
+    """One request or header line, its LF included, of at most _HEADER_LINE_LIMIT bytes."""
+    line = reader.readline(_HEADER_LINE_LIMIT + 1)
+    if len(line) > _HEADER_LINE_LIMIT:
+        raise _BadRequest("header line too long")
+    return line
 
 
 class VHostServer:
@@ -338,7 +313,8 @@ class VHostServer:
     def _http_conn(self, binding: VHostBinding, conn: socket.socket, peer) -> None:
         conn.settimeout(30)
         try:
-            status, headers, body = self._handle_request(binding, conn, peer)
+            with conn.makefile("rb") as reader:
+                status, headers, body = self._handle_request(binding, reader, peer)
             self._respond(conn, status, headers, body)
         except _BadRequest as exc:
             try:
@@ -353,15 +329,14 @@ class VHostServer:
             except OSError:
                 pass
 
-    def _handle_request(self, binding: VHostBinding, conn: socket.socket, peer):
-        reader = _LineReader(conn)
+    def _handle_request(self, binding: VHostBinding, reader: io.BufferedReader, peer):
         remote_addr = peer[0]
-        line = reader.readline(_HEADER_LINE_LIMIT)
+        line = _readline(reader)
         if binding.preamble:
             match = _PREAMBLE_RE.fullmatch(line)
             if match and is_ipv4(match.group(1).decode("ascii")):
                 remote_addr = match.group(1).decode("ascii")
-                line = reader.readline(_HEADER_LINE_LIMIT)
+                line = _readline(reader)
             # otherwise the first line is not a preamble but the request line
         request_line = line.rstrip(b"\r\n").decode("latin-1")
         parts = request_line.split()
@@ -371,7 +346,7 @@ class VHostServer:
 
         content_length = 0
         while True:
-            raw = reader.readline(_HEADER_LINE_LIMIT)
+            raw = _readline(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = raw.rstrip(b"\r\n").decode("latin-1").partition(":")

@@ -1,6 +1,7 @@
 """Agent control layer: installation, redirectors, dial decisions, blocking
 silence, transparency, and snapshot atomicity under racing installs."""
 
+import json
 import socket
 import threading
 import time
@@ -384,6 +385,59 @@ def test_status_reports_connected_until_the_server_stops(tmp_path):
     finally:
         client.close()
         server.stop()
+
+
+# --- control socket ---------------------------------------------------------------
+
+CONTROL_CAP = 8 * 1024 * 1024  # bytes in one control request line
+
+
+@pytest.fixture
+def control(agent):
+    listener = agent_module.AgentControl(agent, ("127.0.0.1", 0))
+    yield listener.address
+    listener.close()
+
+
+def control_reply(sock):
+    with sock.makefile("rb") as reader:
+        return json.loads(reader.readline())
+
+
+@pytest.mark.parametrize("request_line", [b'{"cmd": "dial"}\n', b"[1]\n"],
+                         ids=["dial-without-host", "not-an-object"])
+def test_a_malformed_control_request_gets_an_error_reply(control, request_line):
+    with socket.create_connection(control, timeout=2) as sock:
+        sock.sendall(request_line)
+        reply = control_reply(sock)
+    assert reply["ok"] is False
+    assert reply["error"]
+
+
+def test_a_control_request_over_the_cap_is_refused(control):
+    def send_ignoring_reset(sock, data):
+        try:
+            sock.sendall(data)
+        except OSError:  # the agent stops reading once the cap is passed
+            pass
+
+    with socket.create_connection(control, timeout=10) as sock:
+        sender = threading.Thread(target=send_ignoring_reset,
+                                  args=(sock, b"x" * (CONTROL_CAP + 256 * 1024)))
+        sender.start()
+        reply = control_reply(sock)
+        sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert reply == {"ok": False, "error": "control request too large"}
+
+
+def test_a_control_request_ended_by_eof_instead_of_lf_is_answered(control):
+    with socket.create_connection(control, timeout=10) as sock:
+        sock.sendall(b'{"cmd": "status"}')
+        sock.shutdown(socket.SHUT_WR)
+        reply = control_reply(sock)
+    assert reply["ok"] is True
+    assert reply["user"] == "userA"
 
 
 # --- agent CLI --------------------------------------------------------------------

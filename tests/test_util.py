@@ -5,6 +5,7 @@ import os
 import queue
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -140,6 +141,29 @@ def test_relay_eof_half_closes_only_the_other_side():
         assert relayer.is_alive()
         right_app.shutdown(socket.SHUT_WR)
         assert _read_to_eof(left_app) == b""
+        relayer.join(timeout=5)
+        assert not relayer.is_alive()
+        assert [end.fileno() for end in ends] == [-1, -1]
+        left_app.close()
+        right_app.close()
+
+
+def test_relay_carries_one_direction_long_after_the_other_half_closed(monkeypatch):
+    join = threading.Thread.join
+
+    def short_join(thread, timeout=None):  # any bounded wait shrinks to 0.2 s
+        return join(thread, timeout if timeout is None else min(timeout, 0.2))
+
+    monkeypatch.setattr(threading.Thread, "join", short_join)
+    with no_resource_warnings():
+        left_app, right_app, relayer, ends = _relayed_pair()
+        right_app.shutdown(socket.SHUT_WR)  # ends relay's inline direction, right to left
+        assert _read_to_eof(left_app) == b""
+        time.sleep(0.5)
+        left_app.sendall(b"late bytes")
+        left_app.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(right_app) == b"late bytes"
+        monkeypatch.undo()
         relayer.join(timeout=5)
         assert not relayer.is_alive()
         assert [end.fileno() for end in ends] == [-1, -1]

@@ -297,6 +297,69 @@ def test_preamble_binding_takes_a_long_first_line_as_the_request_line(app_server
     assert fetch(addr, path, preamble_ip="10.0.0.1")[0] == 200
 
 
+# --- request limits -------------------------------------------------------------
+
+LINE_LIMIT = 8192  # bytes in one request or header line, its LF included
+REQUEST_END = b"Host: wwwserver\r\nConnection: close\r\n\r\n"
+
+
+def raw_exchange(addr, request, shut_write=False):
+    """Send raw request bytes and read the response to EOF: (status, response)."""
+    with socket.create_connection(addr, timeout=10) as sock:
+        sock.sendall(request)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as reader:
+            response = reader.read()
+    return int(response.split(maxsplit=2)[1]), response
+
+
+def request_line_of(length):
+    """A GET of /index.html whose request line, CRLF included, is `length` bytes."""
+    head, tail = "GET /index.html?q=", " HTTP/1.1\r\n"
+    return (head + "x" * (length - len(head) - len(tail)) + tail).encode()
+
+
+def header_line_of(length):
+    return b"X-Pad: " + b"a" * (length - len("X-Pad: \r\n")) + b"\r\n"
+
+
+@pytest.mark.parametrize("preamble", [False, True], ids=["preamble-off", "preamble-on"])
+def test_a_line_at_the_limit_is_served_and_one_byte_more_is_400(tmp_path, preamble):
+    docroot = materialize_sample_app(tmp_path / "app")
+    server = VHostServer([VHostBinding("127.0.0.1", 0, docroot, preamble=preamble)]).start()
+    addr = ("127.0.0.1", server.bindings[0].port)
+    prefixes = [b"", b"DACS1 10.0.0.1\n"] if preamble else [b""]
+    try:
+        for prefix in prefixes:
+            for length, status in ((LINE_LIMIT, 200), (LINE_LIMIT + 1, 400)):
+                assert len(request_line_of(length)) == len(header_line_of(length)) == length
+                request = prefix + request_line_of(length) + REQUEST_END
+                assert raw_exchange(addr, request)[0] == status, (prefix, "request line", length)
+                request = prefix + request_line_of(64) + header_line_of(length) + REQUEST_END
+                assert raw_exchange(addr, request)[0] == status, (prefix, "header line", length)
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("value", [b"-1", b"abc", b"%d" % (10 * 1024 * 1024 + 1)])
+def test_a_bad_or_oversized_content_length_is_400(app_server, value):
+    server, _ = app_server
+    addr = ("127.0.0.1", server.bindings[0].port)
+    request = b"POST /cgi-bin/envdump HTTP/1.1\r\nContent-Length: " + value + b"\r\n" + REQUEST_END
+    assert raw_exchange(addr, request)[0] == 400
+
+
+def test_a_body_cut_short_by_eof_reaches_the_cgi_as_sent(app_server):
+    server, _ = app_server
+    addr = ("127.0.0.1", server.bindings[0].port)
+    request = b"POST /cgi-bin/envdump HTTP/1.1\r\nContent-Length: 11\r\n" + REQUEST_END + b"hello"
+    status, response = raw_exchange(addr, request, shut_write=True)
+    assert status == 200
+    assert b"\nCONTENT_LENGTH=5\n" in response
+    assert b"\nBODY=hello\n" in response
+
+
 # --- counter --------------------------------------------------------------------
 
 

@@ -90,14 +90,12 @@ class Redirector(Listener):
         try:
             upstream = socket.create_connection((self.target.host, self.target.port), timeout=10)
         except OSError:
-            conn.close()
             return
         if self.preamble_ip:
             try:
                 upstream.sendall((PREAMBLE_FORMAT % self.preamble_ip).encode("ascii"))
             except OSError:
                 upstream.close()
-                conn.close()
                 return
         clear_deadline(upstream)
         relay(conn, upstream)
@@ -136,20 +134,21 @@ class DacsAgent:
             raise ConnectError(f"cannot reach rule server at {format_hostport(self.server)}: {exc}") from None
         stream = MessageStream(sock)
         try:
-            stream.send(Login(self.user, self.client_ip))
-            msg = stream.recv()
-        except (WireError, OSError) as exc:
+            try:
+                stream.send(Login(self.user, self.client_ip))
+                msg = stream.recv()
+            except (WireError, OSError) as exc:
+                raise ProtocolError(f"login exchange failed: {exc}") from None
+            if not isinstance(msg, RuleSetMsg):
+                raise ProtocolError(f"expected a rule set, got {type(msg).__name__}")
+            installed = self.install_ruleset(self._ruleset(msg))
+            try:
+                stream.send(Ack(msg.version))
+            except OSError as exc:
+                raise ProtocolError(f"could not ack rule set: {exc}") from None
+        except BaseException:  # a failed login leaves no session socket behind
             stream.close()
-            raise ProtocolError(f"login exchange failed: {exc}") from None
-        if not isinstance(msg, RuleSetMsg):
-            stream.close()
-            raise ProtocolError(f"expected a rule set, got {type(msg).__name__}")
-        installed = self.install_ruleset(self._ruleset(msg))
-        try:
-            stream.send(Ack(msg.version))
-        except OSError as exc:
-            stream.close()
-            raise ProtocolError(f"could not ack rule set: {exc}") from None
+            raise
         sock.settimeout(None)
         self._stream = stream
         self.connected = True
@@ -303,7 +302,6 @@ class AgentControl(Listener):
             conn.sendall(json.dumps(reply).encode("utf-8") + b"\n")
         except OSError:
             pass
-        conn.close()
 
     def _dispatch(self, request) -> dict:
         if not isinstance(request, dict):

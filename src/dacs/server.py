@@ -280,14 +280,12 @@ class DacsServer:
             conn.settimeout(None)
         except (WireError, OSError) as exc:
             log.warning("bad first frame from %s: %s", peer, exc)
-            stream.close()
             return
         if not isinstance(msg, Login):
             try:
                 stream.send(ErrorMsg("expected-login", f"got {type(msg).__name__}"))
             except OSError:
                 pass
-            stream.close()
             return
         try:
             session = self.handle_login(msg.user, msg.client_ip, stream)
@@ -406,8 +404,6 @@ class DacsServer:
                 stream.send(ErrorMsg("bad-request", f"got {type(msg).__name__}"))
         except (WireError, OSError) as exc:
             log.warning("control connection error: %s", exc)
-        finally:
-            stream.close()
 
 
 def push_command(control: tuple[str, int]) -> int:

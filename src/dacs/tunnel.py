@@ -67,10 +67,6 @@ class RecordTampered(TunnelError, ConnectionError):
     a relay ends on it like on any other socket error."""
 
 
-class RemoteUnreachable(TunnelError):
-    pass
-
-
 def load_key(path) -> bytes:
     """Read a pre-shared key: 32 raw bytes, or 64 hex characters plus LF."""
     data = Path(path).read_bytes()
@@ -263,14 +259,12 @@ class TunnelClient(Listener):
             upstream = socket.create_connection((self.remote.host, self.remote.port), timeout=10)
         except OSError as exc:
             log.warning("remote tunnel endpoint unreachable: %s", exc)
-            conn.close()
             return
         try:
             channel = SecureChannel.client(upstream, self.psk)
         except HandshakeError as exc:
             log.warning("handshake with %s:%d failed: %s", self.remote.host, self.remote.port, exc)
             upstream.close()
-            conn.close()
             return
         clear_deadline(upstream)
         relay(conn, channel)
@@ -295,34 +289,14 @@ class TunnelServer(Listener):
             channel = SecureChannel.server(conn, self.psk)
         except HandshakeError as exc:
             log.warning("rejected session: %s", exc)
-            conn.close()
             return
         try:
             plain = socket.create_connection((self.forward_to.host, self.forward_to.port), timeout=10)
         except OSError as exc:
             log.warning("forward target unreachable: %s", exc)
-            channel.close()
             return
         clear_deadline(conn, plain)
         relay(plain, channel)
-
-
-def establish_tunnel(
-    spec: TunnelSpec, psk: bytes, control_rules: RuleSet | None = None
-) -> TunnelClient:
-    """Bind 127.0.0.1:<local_port> and forward sessions to the remote listener.
-
-    When the control rules are supplied, the double-rewrite pairing for this
-    tunnel is verified before anything is bound."""
-    if control_rules is not None:
-        problems = [
-            line
-            for line in tunnel_policy_check(control_rules, [spec])
-            if not line.startswith("dangling")  # other rewrites are not this tunnel's concern
-        ]
-        if problems:
-            raise TunnelError("; ".join(problems))
-    return TunnelClient(spec.local_port, spec.remote_endpoint, psk).start()
 
 
 def server_tunnel_listener(listen: Destination, forward_to: Destination, psk: bytes) -> TunnelServer:

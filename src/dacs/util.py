@@ -65,6 +65,10 @@ class Listener:
     """A listening TCP socket whose accept loop runs `handler(conn, peer)` on
     a daemon thread per connection.
 
+    The listener owns each connection it accepts: it closes `conn` once the
+    handler returns or raises (an exception still reaches
+    `threading.excepthook`). A handler closes only the sockets it opened.
+
     The socket is bound at construction, so `address` (with port 0 resolved)
     is known before `start()`; a failed bind or listen closes the socket and
     raises OSError. The accept loop ends only at `close()`: any other accept
@@ -98,7 +102,11 @@ class Listener:
                 log.warning("accept on %s failed, retrying: %s", format_hostport(self.address), exc)
                 time.sleep(ACCEPT_RETRY_PAUSE)
                 continue
-            threading.Thread(target=self.handler, args=(conn, peer), daemon=True).start()
+            threading.Thread(target=self._run_handler, args=(conn, peer), daemon=True).start()
+
+    def _run_handler(self, conn: socket.socket, peer) -> None:
+        with conn:
+            self.handler(conn, peer)
 
     def close(self) -> None:
         self._closed = True

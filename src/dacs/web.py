@@ -299,14 +299,12 @@ class VHostServer:
             msg = stream.recv()
         except (WireError, OSError) as exc:
             log.warning("dropping malformed identity frame: %s", exc)
-            conn.close()
             return
         if isinstance(msg, IdentityNotice):
             self.registry.ingest(msg)
             log.debug("identity %s -> %s %s", msg.client_ip, msg.user, list(msg.groups))
         elif msg is not None:
             log.warning("dropping unexpected %s on identity socket", type(msg).__name__)
-        conn.close()
 
     # --- HTTP ---
 
@@ -323,11 +321,6 @@ class VHostServer:
                 pass
         except OSError:
             pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _handle_request(self, binding: VHostBinding, reader: io.BufferedReader, peer):
         remote_addr = peer[0]
@@ -361,6 +354,8 @@ class VHostServer:
         if method not in ("GET", "POST"):
             return 405, [("Content-Type", "text/plain")], b"method not allowed"
         body = reader.read(content_length) if method == "POST" and content_length else None
+        if body is not None and len(body) < content_length:  # incomplete (RFC 9112 section 8)
+            raise _BadRequest("body ends before its Content-Length")
 
         identity = self.registry.lookup(remote_addr)
         if binding.enforce:

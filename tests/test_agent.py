@@ -6,6 +6,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -382,6 +383,53 @@ def test_status_reports_connected_until_the_server_stops(tmp_path):
         while client.status()["connected"] and time.monotonic() < deadline:
             time.sleep(0.01)
         assert client.status()["connected"] is False
+    finally:
+        client.close()
+        server.stop()
+
+
+def _with_a_repeated_key(monkeypatch):
+    from dacs import server as server_module
+
+    compose = server_module.compose_login_rules
+
+    def compose_with_a_twin(repo, user, client_ip, version):
+        composed = compose(repo, user, client_ip, version)
+        twin = Rule(composed.rules[0].match, Block())
+        return SimpleNamespace(version=version, rules=composed.rules + (twin,))
+
+    monkeypatch.setattr(server_module, "compose_login_rules", compose_with_a_twin)
+
+
+def _with_no_free_port(monkeypatch):
+    def exhausted(target, preamble_ip):
+        raise agent_module.PortExhausted("no port left")
+
+    monkeypatch.setattr(agent_module, "Redirector", exhausted)
+
+
+@pytest.mark.parametrize(
+    "cause, error",
+    [(_with_a_repeated_key, ProtocolError), (_with_no_free_port, agent_module.PortExhausted)],
+    ids=["repeated-key", "port-exhausted"],
+)
+def test_a_login_that_fails_after_the_exchange_closes_its_session(tmp_path, monkeypatch, cause, error):
+    from dacs.server import DacsServer
+
+    repo = tmp_path / "repo.conf"
+    repo.write_text("[policy]\npriority=user\n[user userA]\nrewrite|svc.example:80|127.0.0.1:9\n")
+    server = DacsServer(repo, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    cause(monkeypatch)
+    client = DacsAgent(server.listen_addr, "userA", "10.0.0.1")
+    try:
+        with no_resource_warnings():
+            with pytest.raises(error):
+                client.login(timeout=5)
+        deadline = time.monotonic() + 2
+        while server.session_table() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.session_table() == {}
+        assert client.installed.snapshot.version == 0
     finally:
         client.close()
         server.stop()

@@ -21,7 +21,6 @@ from dacs.tunnel import (
     TunnelError,
     TunnelServer,
     TunnelSpec,
-    establish_tunnel,
     load_key,
     server_tunnel_listener,
     tunnel_policy_check,
@@ -193,13 +192,7 @@ def _tunnel_pair(echo_address):
     server_end = server_tunnel_listener(
         Destination("127.0.0.1", 0), Destination(*echo_address), PSK
     )
-    spec = TunnelSpec(
-        service_match=MatchKey("svc", 9000),
-        local_port=0,
-        remote_endpoint=Destination(*server_end.address),
-        key_id="test",
-    )
-    client_end = establish_tunnel(spec, PSK)
+    client_end = TunnelClient(0, Destination(*server_end.address), PSK).start()
     return client_end, server_end
 
 
@@ -372,18 +365,6 @@ def _spec(host, port, local_port):
     return TunnelSpec(MatchKey(host, port), local_port, Destination("10.0.0.8", 19000), "k")
 
 
-def test_establish_tunnel_verifies_pairing_at_activation(echo_server):
-    from dacs.tunnel import TunnelError
-
-    spec = TunnelSpec(MatchKey("svc", 9000), 15000, Destination(*echo_server.address), "k")
-    consistent = RuleSet(1, (Rule(MatchKey("svc", 9000), Rewrite(Destination("127.0.0.1", 15000))),))
-    inconsistent = RuleSet(1, (Rule(MatchKey("svc", 9000), Rewrite(Destination("127.0.0.1", 15999))),))
-    with pytest.raises(TunnelError):
-        establish_tunnel(spec, PSK, control_rules=inconsistent)
-    endpoint = establish_tunnel(spec, PSK, control_rules=consistent)
-    endpoint.close()
-
-
 def test_policy_check_consistent_pair_is_ok():
     rules = RuleSet(1, (Rule(MatchKey("svc", 9000), Rewrite(Destination("127.0.0.1", 15000))),))
     assert tunnel_policy_check(rules, [_spec("svc", 9000, 15000)]) == []
@@ -423,9 +404,7 @@ def test_tunneled_web_body_equals_direct_body(tmp_path):
 
     direct_body = get_index(web_addr)
     server_end = server_tunnel_listener(Destination("127.0.0.1", 0), Destination(*web_addr), PSK)
-    client_end = establish_tunnel(
-        TunnelSpec(MatchKey("wwwserver", 80), 0, Destination(*server_end.address), "k"), PSK
-    )
+    client_end = TunnelClient(0, Destination(*server_end.address), PSK).start()
     tunneled_body = get_index(client_end.address)
     assert tunneled_body == direct_body
     client_end.close()
@@ -501,7 +480,7 @@ def test_tunnel_server_closes_a_connection_reset_during_the_handshake():
         conn, _ = listener.accept()
     _abort(peer)
     try:
-        server_end._handle(conn, None)  # the nonce read fails; nothing escapes
+        server_end._run_handler(conn, None)  # the nonce read fails; nothing escapes
         assert conn.fileno() == -1
     finally:
         conn.close()
@@ -518,7 +497,7 @@ def test_tunnel_client_closes_both_sockets_when_the_handshake_is_reset():
         local, app = socket.socketpair()
         try:
             with no_resource_warnings():  # the upstream socket is closed too
-                client_end._handle(local, None)
+                client_end._run_handler(local, None)
             assert local.fileno() == -1
         finally:
             aborter.join(timeout=5)

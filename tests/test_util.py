@@ -1,4 +1,5 @@
-"""The shared TCP listener: handler contract, close, and failed binds."""
+"""The shared TCP listener: handler contract, connection ownership, close,
+and failed binds."""
 
 import errno
 import os
@@ -82,6 +83,35 @@ def test_an_accept_error_is_logged_and_the_loop_keeps_serving(monkeypatch, caplo
         listener.close()
     assert failures == [errno.EMFILE]
     assert os.strerror(errno.EMFILE) in caplog.text
+
+
+def test_the_listener_closes_a_connection_its_handler_returns_without_closing():
+    with no_resource_warnings():
+        listener = Listener(("127.0.0.1", 0), lambda conn, peer: None).start()
+        try:
+            with socket.create_connection(listener.address, timeout=2) as sock:
+                assert sock.recv(1) == b""
+        finally:
+            listener.close()
+
+
+def test_the_listener_closes_a_connection_whose_handler_raises(monkeypatch):
+    reached = queue.Queue()
+    monkeypatch.setattr(threading, "excepthook", reached.put)
+
+    def handler(conn, peer):
+        raise RuntimeError("handler failed")
+
+    with no_resource_warnings():
+        listener = Listener(("127.0.0.1", 0), handler).start()
+        try:
+            with socket.create_connection(listener.address, timeout=2) as sock:
+                assert sock.recv(1) == b""
+            hook_args = reached.get(timeout=2)
+        finally:
+            listener.close()
+    assert hook_args.exc_type is RuntimeError
+    assert str(hook_args.exc_value) == "handler failed"
 
 
 # --- relay -------------------------------------------------------------------

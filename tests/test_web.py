@@ -350,14 +350,15 @@ def test_a_bad_or_oversized_content_length_is_400(app_server, value):
     assert raw_exchange(addr, request)[0] == 400
 
 
-def test_a_body_cut_short_by_eof_reaches_the_cgi_as_sent(app_server):
-    server, _ = app_server
+def test_a_body_cut_short_by_eof_is_refused_and_runs_no_cgi(app_server):
+    server, docroot = app_server
     addr = ("127.0.0.1", server.bindings[0].port)
-    request = b"POST /cgi-bin/envdump HTTP/1.1\r\nContent-Length: 11\r\n" + REQUEST_END + b"hello"
-    status, response = raw_exchange(addr, request, shut_write=True)
-    assert status == 200
-    assert b"\nCONTENT_LENGTH=5\n" in response
-    assert b"\nBODY=hello\n" in response
+    count = docroot / "cgi-bin" / "count.txt"
+    before = count.read_bytes()
+    request = b"POST /cgi-bin/counter HTTP/1.1\r\nContent-Length: 11\r\n" + REQUEST_END + b"hello"
+    status, _ = raw_exchange(addr, request, shut_write=True)
+    assert status == 400
+    assert count.read_bytes() == before
 
 
 # --- counter --------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .rules import (
     format_match,
     parse_rule,  # noqa: F401 -- unused; bound so perfbench's tracer can count parses here
 )
-from .util import Listener, clear_deadline, format_hostport, parse_hostport, relay, setup_logging
+from .util import Listener, clear_deadline, format_hostport, parse_hostport, relay, setup_logging, submit
 from .wire import Ack, Login, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.agent")
@@ -152,7 +152,7 @@ class DacsAgent:
         sock.settimeout(None)
         self._stream = stream
         self.connected = True
-        threading.Thread(target=self._push_loop, daemon=True).start()
+        submit(self._push_loop)
         log.info("logged in as %s (%s): %d rules, version %d",
                  self.user, self.client_ip, len(installed.snapshot.rules), installed.snapshot.version)
         return installed

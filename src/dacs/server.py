@@ -8,6 +8,7 @@ longer parses leaves the running repository untouched.
 
 from __future__ import annotations
 
+import collections
 import logging
 import socket
 import threading
@@ -27,13 +28,17 @@ from .rules import (
     user_name_violations,
 )
 from . import wire  # frames go through wire.encode, so a wrapper on it sees every one
-from .util import Listener, format_hostport, parse_hostport, send_within, setup_logging
+from .util import Listener, format_hostport, parse_hostport, send_within, setup_logging, submit
 from .wire import Ack, ErrorMsg, IdentityNotice, Login, Message, MessageStream, PushNotice, RuleSetMsg, WireError
 
 log = logging.getLogger("dacs.server")
 
 # seconds one write to an agent may take before the session is dropped
 SEND_DEADLINE = 5.0
+# writes one push makes at once, the pushing thread's own among them: k
+# agents that stop reading hold a push up for about ceil(k / PUSH_WRITERS)
+# send deadlines, not k
+PUSH_WRITERS = 4
 
 
 class RepositoryError(Exception):
@@ -359,8 +364,9 @@ class DacsServer:
         """Reload the repository and redistribute to every session.
 
         Reload is atomic: a bad file raises ReloadError and the old
-        repository stays active with nothing sent. A session whose send fails
-        is logged, dropped and closed.
+        repository stays active with nothing sent. Up to PUSH_WRITERS writes
+        run at once, and the push returns once every write has ended. A
+        session whose send fails is logged, dropped and closed.
         """
         with self._push_lock:
             try:
@@ -376,17 +382,34 @@ class DacsServer:
                     plans.append(
                         (session, compose_login_rules(new_repo, session.user, session.client_ip, version))
                     )
-            sent = 0
-            for session, ruleset in plans:
-                try:
-                    session.send(PushNotice(), RuleSetMsg(ruleset.version, ruleset.rules))
-                    session.sent_version = ruleset.version
-                    sent += 1
-                except OSError as exc:
-                    log.warning("push to %s failed: %s", session.client_ip, exc)
-                    self._drop_session(session)
+            pending = collections.deque(plans)
+            dropped: list[_Session] = []
+            writers = [
+                submit(self._write_pushes, pending, dropped)
+                for _ in range(min(PUSH_WRITERS, len(plans)) - 1)
+            ]
+            self._write_pushes(pending, dropped)
+            for writer in writers:
+                writer.wait()
+            sent = len(plans) - len(dropped)
             log.info("pushed to %d of %d sessions", sent, len(plans))
             return sent
+
+    def _write_pushes(self, pending: collections.deque, dropped: list) -> None:
+        """Write queued pushes, one write each, until none is left. A session
+        whose write fails is logged, dropped, closed and added to `dropped`."""
+        while True:
+            try:
+                session, ruleset = pending.popleft()
+            except IndexError:
+                return
+            try:
+                session.send(PushNotice(), RuleSetMsg(ruleset.version, ruleset.rules))
+                session.sent_version = ruleset.version
+            except OSError as exc:
+                log.warning("push to %s failed: %s", session.client_ip, exc)
+                self._drop_session(session)
+                dropped.append(session)
 
     def _control_conn(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(30)

@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
 log = logging.getLogger("dacs.util")
 
 ACCEPT_RETRY_PAUSE = 0.1  # seconds; after an accept() error such as EMFILE
+PARKED_MAX = 32  # idle workers the pool keeps; a worker that finishes beyond this exits
+WORKER_NAME = "dacs-worker"
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
@@ -61,9 +65,72 @@ def shut_and_close(sock: socket.socket) -> None:
         pass
 
 
+class WorkerPool:
+    """Daemon worker threads that are reused from one task to the next.
+
+    `submit` never blocks and never refuses: it hands the call to a parked
+    worker if one is idle and starts a worker only if none is, so a task
+    never waits for another to end. A worker that finishes parks again,
+    unless PARKED_MAX workers are already parked; then it exits. A task's
+    exception reaches `threading.excepthook`, as a thread's own would, and
+    its worker parks again.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()  # guards the two counts
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._busy = 0
+        self._parked = 0
+
+    def submit(self, fn, *args) -> threading.Event:
+        """Run `fn(*args)` on a worker; the returned event is set once it has
+        ended and its worker has parked or exited."""
+        done = threading.Event()
+        with self._lock:
+            self._busy += 1
+            parked = self._parked > 0
+            if parked:
+                self._parked -= 1
+        if parked:
+            self._tasks.put((fn, args, done))
+        else:
+            threading.Thread(
+                target=self._work, args=(fn, args, done), name=WORKER_NAME, daemon=True
+            ).start()
+        return done
+
+    def counts(self) -> tuple[int, int]:
+        """(workers running a task, workers parked)."""
+        with self._lock:
+            return self._busy, self._parked
+
+    def _work(self, fn, args, done: threading.Event) -> None:
+        while True:
+            try:
+                fn(*args)
+            except Exception:
+                threading.excepthook(
+                    threading.ExceptHookArgs((*sys.exc_info(), threading.current_thread()))
+                )
+            fn = args = None  # a parked worker keeps nothing of its last task alive
+            with self._lock:
+                self._busy -= 1
+                park = self._parked < PARKED_MAX
+                if park:
+                    self._parked += 1
+            done.set()
+            if not park:
+                return
+            fn, args, done = self._tasks.get()
+
+
+POOL = WorkerPool()  # the one pool of the process
+submit = POOL.submit
+
+
 class Listener:
     """A listening TCP socket whose accept loop runs `handler(conn, peer)` on
-    a daemon thread per connection.
+    a pool worker per connection.
 
     The listener owns each connection it accepts: it closes `conn` once the
     handler returns or raises (an exception still reaches
@@ -71,13 +138,15 @@ class Listener:
 
     The socket is bound at construction, so `address` (with port 0 resolved)
     is known before `start()`; a failed bind or listen closes the socket and
-    raises OSError. The accept loop ends only at `close()`: any other accept
-    error is logged and retried after a short pause.
+    raises OSError. The accept loop runs on a pool worker and ends only at
+    `close()`, which returns once it has ended: any other accept error is
+    logged and retried after a short pause.
     """
 
     def __init__(self, addr: tuple[str, int], handler):
         self.handler = handler
         self._closed = False
+        self._accepting: threading.Event | None = None
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -89,7 +158,7 @@ class Listener:
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
 
     def start(self) -> "Listener":
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self._accepting = submit(self._accept_loop)
         return self
 
     def _accept_loop(self) -> None:
@@ -102,7 +171,7 @@ class Listener:
                 log.warning("accept on %s failed, retrying: %s", format_hostport(self.address), exc)
                 time.sleep(ACCEPT_RETRY_PAUSE)
                 continue
-            threading.Thread(target=self._run_handler, args=(conn, peer), daemon=True).start()
+            submit(self._run_handler, conn, peer)
 
     def _run_handler(self, conn: socket.socket, peer) -> None:
         with conn:
@@ -111,6 +180,8 @@ class Listener:
     def close(self) -> None:
         self._closed = True
         shut_and_close(self._sock)
+        if self._accepting is not None:
+            self._accepting.wait()
 
 
 def clear_deadline(*socks: socket.socket) -> None:
@@ -169,13 +240,13 @@ def pump(src, dst) -> None:
 
 
 def relay(a, b) -> None:
-    """Relay one session both ways, a to b on a second thread and b to a on
-    this one; once both directions have ended, close both ends. A half-closed
-    session keeps carrying the other direction for as long as it lasts."""
-    up = threading.Thread(target=pump, args=(a, b), daemon=True)
-    up.start()
+    """Relay one session both ways, a to b on a pool worker and b to a on
+    this thread; once both directions have ended, close both ends. A
+    half-closed session keeps carrying the other direction for as long as it
+    lasts."""
+    up = submit(pump, a, b)
     pump(b, a)
-    up.join()
+    up.wait()
     a.close()
     b.close()
 

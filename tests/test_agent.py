@@ -22,6 +22,7 @@ from dacs.rules import (
     Rule,
     RuleSet,
 )
+from dacs.util import POOL
 
 
 @pytest.fixture
@@ -107,16 +108,16 @@ def test_redirected_session_closes_both_of_its_sockets(agent, echo_server):
         ruleset(1, Rule(MatchKey("svc", 80), rewrite_to(echo_server.address)))
     )
     addr = installed.redirectors[MatchKey("svc", 80)].address
-    threads_before = threading.active_count()
+    busy_before, _ = POOL.counts()
     with no_resource_warnings():
         with socket.create_connection(addr, timeout=5) as sock:
             sock.sendall(b"one session")
             sock.shutdown(socket.SHUT_WR)
             assert drain(sock) == b"one session"
         deadline = time.monotonic() + 5
-        while threading.active_count() > threads_before and time.monotonic() < deadline:
+        while POOL.counts()[0] > busy_before and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert threading.active_count() <= threads_before  # the session's threads ended
+        assert POOL.counts()[0] <= busy_before  # the session's handler and relay ended
 
 
 def test_redirected_session_relays_with_no_idle_deadline(agent, echo_server, monkeypatch):

@@ -630,6 +630,56 @@ def test_a_stalled_agent_costs_a_push_one_send_deadline(tmp_path, monkeypatch):
         stalled.close()
 
 
+def test_agents_that_stop_reading_hold_up_a_push_together_not_one_after_another(tmp_path, monkeypatch):
+    deadline = 0.5
+    monkeypatch.setattr(server_module, "SEND_DEADLINE", deadline)
+    lines = "".join(f"block|h{i}.{'x' * 200}.example:80\n" for i in range(2000))
+    repo_path = write(tmp_path, "[policy]\npriority=user\n[user u]\n" + lines)
+    server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    stalled_ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+    stalled = [socket.socket() for _ in stalled_ips]
+    healthy = socket.socket()
+    received = []
+    durations = []
+
+    def login(sock, client_ip):
+        sock.connect(server.listen_addr)
+        stream = MessageStream(sock)
+        stream.send(Login("u", client_ip))
+        assert isinstance(stream.recv(), RuleSetMsg)
+        return stream
+
+    def read_pushes(stream):
+        try:
+            while (msg := stream.recv()) is not None:
+                if isinstance(msg, RuleSetMsg):
+                    received.append(msg.version)
+        except OSError:
+            pass
+
+    try:
+        for sock, client_ip in zip(stalled, stalled_ips):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            login(sock, client_ip)  # and never read again
+        reader = threading.Thread(target=read_pushes, args=(login(healthy, "10.0.0.9"),), daemon=True)
+        reader.start()
+        # each push queues another RULESET for the agents that never read,
+        # until their socket buffers are full and their sends miss the deadline
+        while set(stalled_ips) & set(server.session_table()) and len(durations) < 64:
+            start = time.monotonic()
+            server.admin_push()
+            durations.append(time.monotonic() - start)
+        assert list(server.session_table()) == ["10.0.0.9"]
+        assert max(durations) < 2 * deadline
+        assert _wait(lambda: len(received) == len(durations))
+        assert received == sorted(received)
+    finally:
+        server.stop()
+        for sock in stalled:
+            sock.close()
+        healthy.close()
+
+
 class _CountingSocket:
     """Stands in for a session socket, whose methods cannot be patched, and
     counts the writes made on it."""

@@ -25,6 +25,7 @@ from dacs.tunnel import (
     server_tunnel_listener,
     tunnel_policy_check,
 )
+from dacs.util import POOL
 
 PSK = bytes(range(32))
 OTHER_PSK = bytes(range(1, 33))
@@ -317,7 +318,7 @@ def test_tampered_record_gives_the_application_eof_at_once(caplog):
 
 def test_tunnel_session_ends_its_threads_and_closes_its_sockets(echo_server):
     client_end, server_end = _tunnel_pair(echo_server.address)
-    threads_before = threading.active_count()
+    busy_before, _ = POOL.counts()
     try:
         with no_resource_warnings():
             with socket.create_connection(client_end.address, timeout=5) as sock:
@@ -328,9 +329,9 @@ def test_tunnel_session_ends_its_threads_and_closes_its_sockets(echo_server):
                     got += chunk
                 assert got == b"one session"
             deadline = time.monotonic() + 5
-            while threading.active_count() > threads_before and time.monotonic() < deadline:
+            while POOL.counts()[0] > busy_before and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert threading.active_count() <= threads_before  # both ends' relay threads ended
+            assert POOL.counts()[0] <= busy_before  # both ends' handlers and relays ended
     finally:
         client_end.close()
         server_end.close()

@@ -270,6 +270,7 @@ class DacsAgent:
 
     def close(self) -> None:
         self._closed = True
+        self.connected = False
         if self._stream is not None:
             self._stream.close()
         with self._install_lock:
@@ -375,7 +376,12 @@ def main(argv=None) -> int:
         except (ConnectError, ProtocolError, InstallError) as exc:
             print(f"login failed: {exc}")
             return 1
-        control = AgentControl(agent, parse_hostport(args.control))
+        try:
+            control = AgentControl(agent, parse_hostport(args.control))
+        except (OSError, ValueError) as exc:
+            agent.close()
+            print(f"cannot start: {exc}")
+            return 1
         print(f"agent control on {format_hostport(control.address)}")
         for line in agent.status()["rules"]:
             print(f"rule {line}")

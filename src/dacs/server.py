@@ -8,7 +8,6 @@ longer parses leaves the running repository untouched.
 
 from __future__ import annotations
 
-import collections
 import logging
 import socket
 import threading
@@ -35,10 +34,6 @@ log = logging.getLogger("dacs.server")
 
 # seconds one write to an agent may take before the session is dropped
 SEND_DEADLINE = 5.0
-# writes one push makes at once, the pushing thread's own among them: k
-# agents that stop reading hold a push up for about ceil(k / PUSH_WRITERS)
-# send deadlines, not k
-PUSH_WRITERS = 4
 
 
 class RepositoryError(Exception):
@@ -198,7 +193,8 @@ class _Session:
         self.stream = stream
         self.sent_version = -1  # last rule set version written to the agent
         self.acked_version = -1  # highest version the agent acked
-        self.send_lock = threading.Lock()
+        # re-entrant: a login holds it across registering and its RULESET's send
+        self.send_lock = threading.RLock()
 
     def send(self, *msgs: Message) -> None:
         """Write the messages' frames as one write, within SEND_DEADLINE.
@@ -303,24 +299,27 @@ class DacsServer:
         """Register the session (superseding any older one for the same IP),
         send the merged rule set, then notify the web tier of the identity.
 
-        If the rule set cannot be sent, the session is dropped and the
-        OSError propagates."""
+        The session's send lock is held from before it is registered until
+        its rule set is written, so no push on it can write first. If the
+        rule set cannot be sent, the session is dropped and the OSError
+        propagates."""
         session = _Session(user, client_ip, stream)
-        with self._lock:
-            version = self._next_version()
-            ruleset = compose_login_rules(self.repo, user, client_ip, version)
-            groups = get_groups(self.repo, user)
-            old = self._sessions.get(client_ip)
-            self._sessions[client_ip] = session
-        if old is not None:
-            log.info("session for %s superseded by %s", client_ip, user)
-            old.close()
-        try:
-            session.send(RuleSetMsg(ruleset.version, ruleset.rules))
-        except OSError:
-            self._drop_session(session)
-            raise
-        session.sent_version = ruleset.version
+        with session.send_lock:  # taken before self._lock, as everywhere
+            with self._lock:
+                version = self._next_version()
+                ruleset = compose_login_rules(self.repo, user, client_ip, version)
+                groups = get_groups(self.repo, user)
+                old = self._sessions.get(client_ip)
+                self._sessions[client_ip] = session
+            if old is not None:
+                log.info("session for %s superseded by %s", client_ip, user)
+                old.close()
+            try:
+                session.send(RuleSetMsg(ruleset.version, ruleset.rules))
+            except OSError:
+                self._drop_session(session)
+                raise
+            session.sent_version = ruleset.version
         log.info("login %s from %s: %d rules, version %d",
                  user, client_ip, len(ruleset.rules), ruleset.version)
         self._notify_identity(user, client_ip, groups)
@@ -364,9 +363,11 @@ class DacsServer:
         """Reload the repository and redistribute to every session.
 
         Reload is atomic: a bad file raises ReloadError and the old
-        repository stays active with nothing sent. Up to PUSH_WRITERS writes
-        run at once, and the push returns once every write has ended. A
-        session whose send fails is logged, dropped and closed.
+        repository stays active with nothing sent. Each session's rule set is
+        composed and written by a pool task of its own, so agents that stop
+        reading hold the push up for one SEND_DEADLINE however many they
+        are; the push returns once every write has ended. A session whose
+        send fails is logged, dropped and closed.
         """
         with self._push_lock:
             try:
@@ -375,41 +376,26 @@ class DacsServer:
                 raise ReloadError(str(exc)) from None
             with self._lock:
                 self.repo = new_repo
-                sessions = list(self._sessions.values())
-                plans = []
-                for session in sessions:
-                    version = self._next_version()
-                    plans.append(
-                        (session, compose_login_rules(new_repo, session.user, session.client_ip, version))
-                    )
-            pending = collections.deque(plans)
+                pushes = [(session, self._next_version()) for session in self._sessions.values()]
             dropped: list[_Session] = []
-            writers = [
-                submit(self._write_pushes, pending, dropped)
-                for _ in range(min(PUSH_WRITERS, len(plans)) - 1)
-            ]
-            self._write_pushes(pending, dropped)
-            for writer in writers:
-                writer.wait()
-            sent = len(plans) - len(dropped)
-            log.info("pushed to %d of %d sessions", sent, len(plans))
+            for write in [submit(self._push_to, new_repo, *push, dropped) for push in pushes]:
+                write.wait()
+            sent = len(pushes) - len(dropped)
+            log.info("pushed to %d of %d sessions", sent, len(pushes))
             return sent
 
-    def _write_pushes(self, pending: collections.deque, dropped: list) -> None:
-        """Write queued pushes, one write each, until none is left. A session
-        whose write fails is logged, dropped, closed and added to `dropped`."""
-        while True:
-            try:
-                session, ruleset = pending.popleft()
-            except IndexError:
-                return
-            try:
-                session.send(PushNotice(), RuleSetMsg(ruleset.version, ruleset.rules))
-                session.sent_version = ruleset.version
-            except OSError as exc:
-                log.warning("push to %s failed: %s", session.client_ip, exc)
-                self._drop_session(session)
-                dropped.append(session)
+    def _push_to(self, repo: Repository, session: _Session, version: int, dropped: list) -> None:
+        """Compose the session's rule set and write it after a push notice, as
+        one write. A session whose write fails is logged, dropped, closed and
+        added to `dropped`."""
+        ruleset = compose_login_rules(repo, session.user, session.client_ip, version)
+        try:
+            session.send(PushNotice(), RuleSetMsg(ruleset.version, ruleset.rules))
+            session.sent_version = ruleset.version
+        except OSError as exc:
+            log.warning("push to %s failed: %s", session.client_ip, exc)
+            self._drop_session(session)
+            dropped.append(session)
 
     def _control_conn(self, conn: socket.socket, _peer) -> None:
         conn.settimeout(30)
@@ -468,15 +454,14 @@ def main(argv=None) -> int:
         print(f"pushed to {count} client(s)")
         return 0
 
-    web_identity = None if args.web_identity == "none" else parse_hostport(args.web_identity)
     try:
         server = DacsServer(
             args.repo,
             listen=parse_hostport(args.listen),
             control=parse_hostport(args.control),
-            web_identity=web_identity,
+            web_identity=None if args.web_identity == "none" else parse_hostport(args.web_identity),
         ).start()
-    except (RepositoryError, OSError) as exc:
+    except (RepositoryError, OSError, ValueError) as exc:
         print(f"cannot start: {exc}")
         return 1
     log.info("agents on %s, control on %s",

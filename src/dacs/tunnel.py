@@ -32,7 +32,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .rules import Block, Destination, MatchKey, Rewrite, RuleSet, format_match, format_rule
-from .util import Listener, clear_deadline, parse_hostport, recv_exact, relay, setup_logging
+from .util import Listener, clear_deadline, parse_hostport, parse_port, recv_exact, relay, setup_logging
 
 log = logging.getLogger("dacs.tunnel")
 
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_client = sub.add_parser("client", help="agent-side tunnel endpoint")
-    p_client.add_argument("--local", type=int, required=True, metavar="PORT")
+    p_client.add_argument("--local", required=True, metavar="PORT")
     p_client.add_argument("--remote", required=True, metavar="IP:PORT")
     p_client.add_argument("--key", required=True, metavar="FILE")
 
@@ -321,16 +321,20 @@ def main(argv=None) -> int:
     p_server.add_argument("--key", required=True, metavar="FILE")
 
     args = parser.parse_args(argv)
-    psk = load_key(args.key)
-    if args.command == "client":
-        remote = Destination(*parse_hostport(args.remote))
-        endpoint = TunnelClient(args.local, remote, psk).start()
-        log.info("tunnel client on 127.0.0.1:%d -> %s:%d", endpoint.address[1], remote.host, remote.port)
-    else:
-        listen = Destination(*parse_hostport(args.listen))
-        forward = Destination(*parse_hostport(args.forward))
-        endpoint = TunnelServer(listen, forward, psk).start()
-        log.info("tunnel server on %s:%d -> %s:%d", *endpoint.address, forward.host, forward.port)
+    try:
+        psk = load_key(args.key)
+        if args.command == "client":
+            remote = Destination(*parse_hostport(args.remote))
+            endpoint = TunnelClient(parse_port(args.local), remote, psk).start()
+            log.info("tunnel client on 127.0.0.1:%d -> %s:%d", endpoint.address[1], remote.host, remote.port)
+        else:
+            listen = Destination(*parse_hostport(args.listen))
+            forward = Destination(*parse_hostport(args.forward))
+            endpoint = TunnelServer(listen, forward, psk).start()
+            log.info("tunnel server on %s:%d -> %s:%d", *endpoint.address, forward.host, forward.port)
+    except (TunnelError, OSError, ValueError) as exc:
+        print(f"cannot start: {exc}")
+        return 1
     try:
         threading.Event().wait()
     except KeyboardInterrupt:

@@ -20,18 +20,19 @@ PARKED_MAX = 32  # idle workers the pool keeps; a worker that finishes beyond th
 WORKER_NAME = "dacs-worker"
 
 
+def parse_port(text: str) -> int:
+    """Parse a decimal TCP port, 1-65535."""
+    if not (text.isdecimal() and 1 <= int(text) <= 65535):
+        raise ValueError(f"bad port {text!r}: expected 1-65535")
+    return int(text)
+
+
 def parse_hostport(text: str) -> tuple[str, int]:
     """Parse `host:port`; hosts never contain a colon in this testbed."""
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"expected host:port, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"bad port in {text!r}") from None
-    if not 1 <= port <= 65535:
-        raise ValueError(f"port out of range in {text!r}")
-    return host, port
+    return host, parse_port(port_text)
 
 
 def format_hostport(addr: tuple[str, int]) -> str:
@@ -138,7 +139,7 @@ class Listener:
 
     The socket is bound at construction, so `address` (with port 0 resolved)
     is known before `start()`; a failed bind or listen closes the socket and
-    raises OSError. The accept loop runs on a pool worker and ends only at
+    raises its exception. The accept loop runs on a pool worker and ends only at
     `close()`, which returns once it has ended: any other accept error is
     logged and retried after a short pause.
     """
@@ -152,7 +153,7 @@ class Listener:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._sock.bind(addr)
             self._sock.listen()
-        except OSError:
+        except BaseException:  # OverflowError too, for a port above 65535
             self._sock.close()
             raise
         self.address: tuple[str, int] = self._sock.getsockname()[:2]

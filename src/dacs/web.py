@@ -435,7 +435,7 @@ def main(argv=None) -> int:
         bindings = parse_vhosts_file(args.vhosts)
         server = VHostServer(bindings, identity_listen=parse_hostport(args.identity_listen))
         server.start()
-    except (VHostsFileError, BindError, OSError) as exc:
+    except (VHostsFileError, BindError, OSError, ValueError) as exc:
         print(f"cannot start: {exc}")
         return 1
     for binding in server.bindings:

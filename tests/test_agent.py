@@ -389,6 +389,40 @@ def test_status_reports_connected_until_the_server_stops(tmp_path):
         server.stop()
 
 
+def test_close_clears_connected_before_the_push_loop_has_ended(tmp_path, monkeypatch):
+    from dacs.server import DacsServer
+
+    repo = tmp_path / "repo.conf"
+    repo.write_text("[policy]\npriority=user\n[user userA]\nblock|h:80\n")
+    server = DacsServer(repo, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    client = DacsAgent(server.listen_addr, "userA", "10.0.0.1")
+    recv = wire.MessageStream.recv
+    loop_reads = threading.Event()
+    loop_may_end = threading.Event()
+
+    def held_recv(stream):
+        if stream is client._stream:
+            loop_reads.set()
+        try:
+            return recv(stream)
+        finally:  # the push loop notices the closed stream only once this is set
+            if stream is client._stream and client._closed:
+                loop_may_end.wait(10)
+
+    monkeypatch.setattr(wire.MessageStream, "recv", held_recv)
+    try:
+        client.login(timeout=5)
+        assert client.status()["connected"] is True
+        assert loop_reads.wait(5)
+        client.close()
+        assert client.connected is False
+        assert client.status()["connected"] is False
+    finally:
+        loop_may_end.set()
+        client.close()
+        server.stop()
+
+
 def _with_a_repeated_key(monkeypatch):
     from dacs import server as server_module
 

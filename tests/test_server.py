@@ -2,6 +2,7 @@
 
 import socket
 import statistics
+import sys
 import threading
 import time
 from pathlib import Path
@@ -266,6 +267,30 @@ def test_failed_push_send_drops_the_session(tmp_path):
         assert ours.fileno() == -1
     finally:
         peer.close()
+        server.stop()
+
+
+def test_concurrent_push_writes_count_every_dropped_session(tmp_path):
+    server = DacsServer(write(tmp_path, FULL), listen=("127.0.0.1", 0), control=("127.0.0.1", 0))
+    pairs = [socket.socketpair() for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i, (ours, _peer) in enumerate(pairs):
+            server.handle_login("userA", f"10.0.1.{i}", MessageStream(ours))
+        for _ours, peer in pairs[::2]:
+            peer.close()  # the push's write to these sessions fails at once
+        assert server.admin_push() == 8
+        assert server.admin_push() == 8
+        table = server.session_table()
+        assert sorted(table) == sorted(f"10.0.1.{i}" for i in range(1, 16, 2))
+        # 16 logins, 16 versions for the first push, 8 for the second
+        assert sorted(sent for _user, sent, _acked in table.values()) == list(range(33, 41))
+    finally:
+        sys.setswitchinterval(interval)
+        for pair in pairs:
+            for sock in pair:
+                sock.close()
         server.stop()
 
 
@@ -630,13 +655,16 @@ def test_a_stalled_agent_costs_a_push_one_send_deadline(tmp_path, monkeypatch):
         stalled.close()
 
 
-def test_agents_that_stop_reading_hold_up_a_push_together_not_one_after_another(tmp_path, monkeypatch):
+@pytest.mark.parametrize("stalled_count", [3, 6])
+def test_agents_that_stop_reading_hold_up_a_push_together_not_one_after_another(
+    tmp_path, monkeypatch, stalled_count
+):
     deadline = 0.5
     monkeypatch.setattr(server_module, "SEND_DEADLINE", deadline)
     lines = "".join(f"block|h{i}.{'x' * 200}.example:80\n" for i in range(2000))
     repo_path = write(tmp_path, "[policy]\npriority=user\n[user u]\n" + lines)
     server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
-    stalled_ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+    stalled_ips = [f"10.0.0.{i}" for i in range(1, stalled_count + 1)]
     stalled = [socket.socket() for _ in stalled_ips]
     healthy = socket.socket()
     received = []
@@ -678,6 +706,55 @@ def test_agents_that_stop_reading_hold_up_a_push_together_not_one_after_another(
         for sock in stalled:
             sock.close()
         healthy.close()
+
+
+def test_a_push_that_finds_a_new_session_writes_after_its_login_rule_set(tmp_path, monkeypatch):
+    repo_path = write(tmp_path, MINIMAL)
+    server = DacsServer(repo_path, listen=("127.0.0.1", 0), control=("127.0.0.1", 0)).start()
+    agent = DacsAgent(server.listen_addr, "userA", "10.0.0.1")
+    encode_msg = wire.encode
+    login_encoding = threading.Event()
+    release = threading.Event()
+
+    def held_encode(msg):
+        # the first rule set encoded is the login's: hold it after the session
+        # is registered and before its write
+        if isinstance(msg, RuleSetMsg) and not login_encoding.is_set():
+            login_encoding.set()
+            release.wait(10)
+        return encode_msg(msg)
+
+    monkeypatch.setattr(wire, "encode", held_encode)
+    login_errors = []
+    pushed = []
+
+    def log_in():
+        try:
+            agent.login()
+        except Exception as exc:
+            login_errors.append(exc)
+
+    login_thread = threading.Thread(target=log_in, daemon=True)
+    pusher = threading.Thread(target=lambda: pushed.append(server.admin_push()), daemon=True)
+    try:
+        login_thread.start()
+        assert login_encoding.wait(10)
+        repo_path.write_text(MINIMAL.replace("3000", "3001"))
+        pusher.start()
+        pusher.join(timeout=0.5)  # time for a push that does not wait to write first
+        release.set()
+        login_thread.join(timeout=10)
+        pusher.join(timeout=10)
+        assert not login_thread.is_alive() and not pusher.is_alive()
+        assert login_errors == []
+        assert pushed == [1]
+        assert _wait(lambda: server.session_table() == {"10.0.0.1": ("userA", 2, 2)})
+        assert agent.installed.snapshot.version == 2
+        assert agent.status()["rules"] == ["rewrite|wwwserver:80|127.0.0.1:3001"]
+    finally:
+        release.set()
+        agent.close()
+        server.stop()
 
 
 class _CountingSocket:

@@ -64,6 +64,12 @@ def test_bind_to_a_taken_port_raises_and_leaves_no_socket_open():
                 Listener(blocker.getsockname(), lambda conn, peer: conn.close())
 
 
+def test_a_bind_that_raises_other_than_oserror_leaves_no_socket_open():
+    with no_resource_warnings():
+        with pytest.raises(OverflowError):
+            Listener(("127.0.0.1", 70000), lambda conn, peer: conn.close())
+
+
 def test_an_accept_error_is_logged_and_the_loop_keeps_serving(monkeypatch, caplog):
     served = threading.Event()
 
